@@ -21,7 +21,9 @@ from .hypergraph import (
     count_subgraph_class,
     parse_hypergraph_text,
     rank_edge,
+    rank_edges,
     unrank_edge,
+    unrank_edges,
     write_hypergraph_text,
 )
 from .ldlr import (

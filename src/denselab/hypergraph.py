@@ -3,18 +3,23 @@
 Vertices are 1-based everywhere in the public API. A hyperedge is a strictly
 increasing tuple of r vertex ids; edges are ranked lexicographically on the
 sorted vertex tuple, giving a fixed bijection onto [0, C(n, r)).
+
+`rank_edge`/`unrank_edge` work on one edge in exact big-int arithmetic.
+`rank_edges`/`unrank_edges` are the array kernel used on hot paths; they hold
+ranks in int64, so they need C(n, r) < 2^63.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from math import comb
-from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import BudgetExceededError, InvalidArgumentError
 
 Edge = Tuple[int, ...]
 
@@ -66,6 +71,89 @@ def unrank_edge(index: int, n: int, r: int) -> Edge:
         edge.append(c)
         prev = c
     return tuple(edge)
+
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+@functools.lru_cache(maxsize=32)
+def binomial_table(n: int, r: int) -> np.ndarray:
+    """Read-only int64 table T[x, k] = C(x, k) for 0 <= x <= n, 0 <= k <= r.
+
+    Raises BudgetExceededError when C(n, r) >= 2^63, the largest rank space
+    the array kernel can index. Entries past 2^63 - 1 (possible only when
+    r > n/2) saturate there; no rank of an edge of K_n^r ever reads one, since
+    each term of a rank is below C(n, r).
+    """
+    if n < r:
+        raise InvalidArgumentError(f"n={n} < r={r}")
+    if comb(n, r) > _INT64_MAX:
+        raise BudgetExceededError(
+            f"C({n}, {r}) = {comb(n, r)} edges do not fit in int64 ranks (limit 2^63)"
+        )
+    table = np.zeros((n + 1, r + 1), dtype=np.int64)
+    table[:, 0] = 1
+    for k in range(1, r + 1):
+        # C(x, k) = sum_{y < x} C(y, k - 1), accumulated in Python ints
+        col = itertools.accumulate(table[:-1, k - 1].tolist(), initial=0)
+        table[:, k] = [min(c, _INT64_MAX) for c in col]
+    table.flags.writeable = False
+    return table
+
+
+def rank_edges(E: np.ndarray, n: int, r: int) -> np.ndarray:
+    """Ranks of the rows of a (K, r) array of canonical edges, as int64.
+
+    Same order as rank_edge: rank = C(n, r) - 1 - sum_i C(n - e_i, r - i)
+    over 0-based columns i. Raises InvalidArgumentError unless every row is
+    strictly increasing with vertices in [1, n].
+    """
+    table = binomial_table(n, r)
+    E = np.asarray(E, dtype=np.int64)
+    if E.ndim != 2 or E.shape[1] != r:
+        raise InvalidArgumentError(f"expected a (K, {r}) edge array, got shape {E.shape}")
+    bad = (E[:, 0] < 1) | (E[:, -1] > n) | (np.diff(E, axis=1) <= 0).any(axis=1)
+    if bad.any():
+        row = tuple(E[np.flatnonzero(bad)[0]].tolist())
+        raise InvalidArgumentError(
+            f"edge {row} is not strictly increasing within [1, {n}]"
+        )
+    ranks = np.full(E.shape[0], table[n, r] - 1, dtype=np.int64)
+    for i in range(r):
+        ranks -= table[n - E[:, i], r - i]
+    return ranks
+
+
+def unrank_edges(idx: np.ndarray, n: int, r: int) -> np.ndarray:
+    """Inverse of rank_edges: a (K, r) int64 array of edges for K ranks.
+
+    C(n, r) - 1 - idx is written greedily in the combinatorial number system,
+    one binary search per column of the binomial table.
+    """
+    table = binomial_table(n, r)
+    idx = np.asarray(idx, dtype=np.int64)
+    total = int(table[n, r])
+    if idx.ndim != 1:
+        raise InvalidArgumentError(f"expected a 1-d rank array, got shape {idx.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= total):
+        raise InvalidArgumentError(f"ranks outside [0, {total})")
+    rem = (total - 1) - idx
+    E = np.empty((idx.size, r), dtype=np.int64)
+    for i in range(r):
+        col = table[:n, r - i]
+        x = np.searchsorted(col, rem, side="right") - 1
+        rem -= col[x]
+        E[:, i] = n - x
+    return E
+
+
+def within_ranks(Z: Iterable[int], n: int, r: int) -> np.ndarray:
+    """Ascending int64 ranks of all r-subsets of the vertex set Z."""
+    zs = sorted(Z)
+    k = comb(len(zs), r)
+    flat = itertools.chain.from_iterable(itertools.combinations(zs, r))
+    E = np.fromiter(flat, dtype=np.int64, count=k * r).reshape(k, r)
+    return rank_edges(E, n, r)
 
 
 def all_edges(n: int, r: int) -> Iterator[Edge]:
@@ -131,10 +219,9 @@ class Hypergraph:
         return sorted(self.edges)
 
     def to_tensor(self) -> "AdjacencyTensor":
-        m = comb(self.n, self.r)
-        bits = np.zeros(m, dtype=bool)
-        for e in self.edges:
-            bits[rank_edge(e, self.n, self.r)] = True
+        bits = np.zeros(comb(self.n, self.r), dtype=bool)
+        E = np.array(list(self.edges), dtype=np.int64).reshape(-1, self.r)
+        bits[rank_edges(E, self.n, self.r)] = True
         return AdjacencyTensor(self.n, self.r, bits)
 
 
@@ -164,7 +251,8 @@ class AdjacencyTensor:
         return int(self.bits.sum())
 
     def present_edges(self) -> List[Edge]:
-        return [unrank_edge(int(i), self.n, self.r) for i in np.flatnonzero(self.bits)]
+        E = unrank_edges(np.flatnonzero(self.bits), self.n, self.r)
+        return [tuple(e) for e in E.tolist()]
 
     def to_hypergraph(self) -> Hypergraph:
         return Hypergraph(self.n, self.r, frozenset(self.present_edges()))
@@ -183,7 +271,8 @@ class AdjacencyTensor:
 #
 # First line "n r"; then one edge per line as r space-separated 1-based vertex
 # ids in increasing order, lines sorted by rank. Blank lines and '#' comments
-# are ignored on input; comments may be emitted before the edge list.
+# are ignored on input; comments may be emitted before the edge list. The
+# parser rejects non-integer tokens and repeated edge lines, naming the line.
 
 
 def write_hypergraph_text(hg: Hypergraph, comments: Optional[Sequence[str]] = None) -> str:
@@ -198,22 +287,32 @@ def write_hypergraph_text(hg: Hypergraph, comments: Optional[Sequence[str]] = No
 def parse_hypergraph_text(text: str) -> Tuple[Hypergraph, List[str]]:
     """Parse the text format; returns the hypergraph and the comment lines."""
     comments: List[str] = []
-    header: Optional[Tuple[int, int]] = None
-    edges: List[Edge] = []
-    for raw in text.splitlines():
+    header: Optional[Tuple[int, ...]] = None
+    edges: Dict[Edge, int] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
             comments.append(line[1:].strip())
             continue
-        parts = line.split()
+        try:
+            values = tuple(int(v) for v in line.split())
+        except ValueError:
+            what = "header" if header is None else "vertex"
+            raise InvalidArgumentError(
+                f"line {lineno}: non-integer {what} token in {raw!r}"
+            ) from None
         if header is None:
-            if len(parts) != 2:
-                raise InvalidArgumentError(f"bad header line: {raw!r}")
-            header = (int(parts[0]), int(parts[1]))
-            continue
-        edges.append(tuple(int(v) for v in parts))
+            if len(values) != 2:
+                raise InvalidArgumentError(f"line {lineno}: bad header line: {raw!r}")
+            header = values
+        elif values in edges:
+            raise InvalidArgumentError(
+                f"line {lineno}: duplicate of the edge on line {edges[values]}: {raw!r}"
+            )
+        else:
+            edges[values] = lineno
     if header is None:
         raise InvalidArgumentError("missing header line")
     n, r = header

@@ -30,6 +30,8 @@ from .hypergraph import (
     count_isolated_free_edge_sets,
     count_subgraph_class,
     induced_vertices,
+    unrank_edges,
+    within_ranks,
 )
 from .models import PlantedSample, ProblemParams, RationalParams, sample_planted
 from .rng import child_rng
@@ -262,13 +264,6 @@ def build_conditioning_spec(
     )
 
 
-def _edges_within(Z: FrozenSet[int], params: ProblemParams) -> List[Edge]:
-    zs = sorted(Z)
-    if len(zs) < params.r:
-        return []
-    return list(itertools.combinations(zs, params.r))
-
-
 def _dense_subset_exists(
     present: Sequence[Edge], spec: ConditioningSpec
 ) -> bool:
@@ -310,9 +305,9 @@ def event_holds(
 ) -> bool:
     """E of the conditional construction: the planted part C = H[Z] contains no
     edge subset whose (vertex count, edge count) lies in the index set."""
-    edge_set = set(Y.present_edges())
-    present = [e for e in _edges_within(Z, params) if e in edge_set]
-    return not _dense_subset_exists(present, spec)
+    ranks = within_ranks(Z, params.n, params.r)
+    present = unrank_edges(ranks[Y.bits[ranks]], params.n, params.r)
+    return not _dense_subset_exists([tuple(e) for e in present.tolist()], spec)
 
 
 @dataclass(frozen=True)
@@ -360,7 +355,7 @@ def _enumerate_conditional_numerators(
     for z_mask in range(2 ** n):
         Z = frozenset(i + 1 for i in range(n) if z_mask >> i & 1)
         prob_z = rp.rho ** len(Z) * (1 - rp.rho) ** (n - len(Z))
-        c_edges = _edges_within(Z, params)
+        c_edges = list(itertools.combinations(sorted(Z), r))
         for bits in itertools.product((0, 1), repeat=len(c_edges)):
             present = [e for e, b in zip(c_edges, bits) if b]
             if _dense_subset_exists(present, spec):

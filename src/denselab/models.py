@@ -13,12 +13,18 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from typing import FrozenSet, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import BudgetExceededError, InfeasibleError, InvalidArgumentError
-from .hypergraph import AdjacencyTensor, Hypergraph, all_edges, rank_edge
+from .hypergraph import (
+    AdjacencyTensor,
+    Hypergraph,
+    all_edges,
+    binomial_table,
+    within_ranks,
+)
 from .rng import child_rng
 
 
@@ -151,6 +157,28 @@ class AuxPlantedParams:
     u: np.ndarray  # length-n vector of standardized memberships
 
 
+# Uniforms are drawn this many at a time, so a draw never holds C(n, r)
+# float64s. PCG64 gives random(a) then random(b) exactly the values of
+# random(a + b), so the block size does not change any sampled bit.
+_U_BLOCK = 1 << 16
+_NO_RANKS = np.empty(0, dtype=np.int64)
+
+
+def _coupled_bits(rng, params: ProblemParams, within: np.ndarray, p: float) -> np.ndarray:
+    """One uniform u per edge rank: bit = u < p on the sorted ranks `within`,
+    u < q everywhere else."""
+    binomial_table(params.n, params.r)  # BudgetExceededError if C(n, r) >= 2^63
+    bits = np.empty(params.M, dtype=bool)
+    for start in range(0, params.M, _U_BLOCK):
+        u = rng.random(min(_U_BLOCK, params.M - start))
+        block = bits[start:start + u.size]
+        np.less(u, params.q, out=block)
+        lo, hi = np.searchsorted(within, (start, start + u.size))
+        local = within[lo:hi] - start
+        block[local] = u[local] < p
+    return bits
+
+
 def sample_null(
     params: ProblemParams, seed: int, key: Sequence[int] = ()
 ) -> Hypergraph:
@@ -163,15 +191,8 @@ def sample_null_tensor(
     params: ProblemParams, seed: int, key: Sequence[int] = ()
 ) -> AdjacencyTensor:
     rng = child_rng(seed, *key)
-    bits = rng.random(params.M) < params.q
+    bits = _coupled_bits(rng, params, _NO_RANKS, params.q)
     return AdjacencyTensor(params.n, params.r, bits)
-
-
-def _ranks_within(Z: Sequence[int], n: int, r: int) -> List[int]:
-    zs = sorted(Z)
-    if len(zs) < r:
-        return []
-    return [rank_edge(e, n, r) for e in itertools.combinations(zs, r)]
 
 
 def sample_planted(
@@ -185,10 +206,7 @@ def sample_planted(
     rng = child_rng(seed, *key)
     z = rng.random(params.n) < params.rho
     Z = frozenset(int(i) + 1 for i in np.flatnonzero(z))
-    u = rng.random(params.M)
-    bits = u < params.q
-    for idx in _ranks_within(Z, params.n, params.r):
-        bits[idx] = u[idx] < params.p
+    bits = _coupled_bits(rng, params, within_ranks(Z, params.n, params.r), params.p)
     return PlantedSample(Z, AdjacencyTensor(params.n, params.r, bits))
 
 

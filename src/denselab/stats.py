@@ -348,7 +348,9 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     if workers is not None:
         return max(1, int(workers))
     env = os.environ.get("DENSELAB_WORKERS", "").strip()
-    return max(1, int(env)) if env else 1
+    if env and not (env.isdecimal() and int(env) >= 1):
+        raise InvalidArgumentError(f"DENSELAB_WORKERS={env!r} is not a positive integer")
+    return int(env) if env else 1
 
 
 def estimate_separation(

@@ -46,6 +46,32 @@ def test_invalid_params_exit_code(capsys):
     assert code == 2
 
 
+def test_rank_overflow_exit_code(capsys):
+    # C(4e6, 3) ~ 1.07e19 edges: ranks would overflow int64
+    code = main(["sample", "--model", "null", "--seed", "1", "--n", "4000000",
+                 "--r", "3", "--alpha", "0.5", "--beta", "1.0", "--gamma", "0.5"])
+    assert code == 3
+    assert "2^63" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["abc", "0", "-2", "1.5"])
+def test_invalid_worker_count_exit_code(workers, monkeypatch, capsys):
+    monkeypatch.setenv("DENSELAB_WORKERS", workers)
+    code = main(["test", "--stat", "edge", "--trials", "4", "--seed", "1"] + BASE)
+    assert code == 2
+    assert "DENSELAB_WORKERS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["5 x\n1 2\n", "5 2\n1 2\n1 y\n", "5 2\n1 2\n1 2\n"])
+def test_malformed_input_file_exit_code(text, tmp_path, capsys):
+    graph = tmp_path / "g.txt"
+    graph.write_text(text)
+    code = main(["test", "--stat", "edge", "--input", str(graph), "--n", "5", "--r", "2",
+                 "--alpha", "0.25", "--beta", "0.5", "--gamma", "0.5"])
+    assert code == 2
+    assert "line" in capsys.readouterr().err
+
+
 def test_missing_required_flag(capsys):
     code = main(["ldlr"] + BASE)
     assert code == 2

@@ -6,17 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from denselab.errors import InvalidArgumentError
+from denselab.errors import BudgetExceededError, InvalidArgumentError
 from denselab.hypergraph import (
     AdjacencyTensor,
     Hypergraph,
     all_edges,
+    binomial_table,
     count_isolated_free_edge_sets,
     count_subgraph_class,
     induced_vertices,
     parse_hypergraph_text,
     rank_edge,
+    rank_edges,
     unrank_edge,
+    unrank_edges,
+    within_ranks,
     write_hypergraph_text,
 )
 
@@ -51,6 +55,55 @@ def test_edge_validation():
         rank_edge((1, 6), 5, 2)
     with pytest.raises(InvalidArgumentError):
         unrank_edge(10, 5, 2)
+
+
+@given(st.integers(2, 5), st.data())
+@settings(max_examples=60)
+def test_rank_kernel_matches_scalar(r, data):
+    n = data.draw(st.integers(r, 14))
+    m = comb(n, r)
+    every = [list(e) for e in all_edges(n, r)]
+    # bijection onto [0, C(n, r)) in the scalar rank order
+    assert rank_edges(np.array(every, dtype=np.int64), n, r).tolist() == list(range(m))
+    assert unrank_edges(np.arange(m), n, r).tolist() == every
+    ranks = data.draw(st.lists(st.integers(0, m - 1), max_size=20))
+    E = unrank_edges(np.array(ranks, dtype=np.int64), n, r)
+    assert E.shape == (len(ranks), r)
+    assert [tuple(e) for e in E.tolist()] == [unrank_edge(i, n, r) for i in ranks]
+    assert rank_edges(E, n, r).tolist() == ranks
+
+
+def test_rank_kernel_empty_and_saturated_table():
+    assert rank_edges(np.empty((0, 3), dtype=np.int64), 3, 3).shape == (0,)
+    assert unrank_edges(np.empty(0, dtype=np.int64), 3, 3).shape == (0, 3)
+    assert within_ranks({2}, 5, 2).shape == (0,)
+    # C(70, 35) > 2^63 saturates in the table; C(70, 60) itself fits
+    n, r = 70, 60
+    assert binomial_table(n, r)[n, r] == comb(n, r)
+    ranks = [0, 1, 12345, comb(n, r) // 3, comb(n, r) - 1]
+    E = unrank_edges(np.array(ranks), n, r)
+    assert [tuple(e) for e in E.tolist()] == [unrank_edge(i, n, r) for i in ranks]
+    assert rank_edges(E, n, r).tolist() == ranks
+
+
+def test_within_ranks_matches_scalar():
+    Z = {9, 2, 5, 7}
+    expected = [rank_edge(e, 10, 3) for e in itertools.combinations(sorted(Z), 3)]
+    assert within_ranks(Z, 10, 3).tolist() == expected == sorted(expected)
+
+
+def test_rank_kernel_validation():
+    for bad in ([[1, 2], [2, 2]], [[2, 1]], [[0, 1]], [[1, 6]], [[1, 2, 3]]):
+        with pytest.raises(InvalidArgumentError):
+            rank_edges(np.array(bad), 5, 2)
+    for bad in ([-1], [10], [[0]]):
+        with pytest.raises(InvalidArgumentError):
+            unrank_edges(np.array(bad), 5, 2)
+    with pytest.raises(InvalidArgumentError):
+        binomial_table(2, 3)
+    # C(4e6, 3) ~ 1.07e19 ranks do not fit in int64
+    with pytest.raises(BudgetExceededError):
+        rank_edges(np.array([[1, 2, 3]]), 4_000_000, 3)
 
 
 def test_isolated_free_counts():
@@ -121,3 +174,12 @@ def test_text_format_rejects_garbage():
         parse_hypergraph_text("")
     with pytest.raises(InvalidArgumentError):
         parse_hypergraph_text("5\n1 2\n")
+    bad_inputs = [
+        ("5 x\n1 2\n", "line 1"),
+        ("# c\n5 2\n1 y\n", "line 3"),
+        ("5 2\n1 2\n\n3 4\n1 2\n", "line 5"),
+        ("5 2\n1 2\n01  2\n", "line 3"),
+    ]
+    for text, where in bad_inputs:
+        with pytest.raises(InvalidArgumentError, match=where):
+            parse_hypergraph_text(text)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from denselab.errors import (
     InfeasibleError,
     InvalidArgumentError,
 )
-from denselab.hypergraph import rank_edge
+from denselab.hypergraph import rank_edge, write_hypergraph_text
 from denselab.models import (
     ProblemParams,
     RationalParams,
@@ -99,6 +100,30 @@ def test_planted_rate_inside_z():
     assert tot > 1000
     se = math.sqrt(pp.p * (1 - pp.p) / tot)
     assert abs(hits / tot - pp.p) < 5 * se
+
+
+# First 16 hex digits of sha256 over the sampled bits (seed 7, planted key
+# (1, 0), null key (0, 0)) and over the planted sample's text form. They pin
+# the RNG stream: one uniform per edge rank, in rank order, drawn after the n
+# membership uniforms. n=600 spans three blocks of drawn uniforms.
+GOLDEN_SAMPLES = [
+    ((600, 2, 0.3, 0.5, 0.75), "ed9800377659f382", "ad52f9e1af5ed6b0", "78724298d9df6f04"),
+    ((300, 2, 0.3, 0.5, 0.75), "8400b466c98409cb", "0d9b5e52eaa83bd0", "2d03826e27e7a860"),
+    ((60, 3, 0.3, 0.9, 0.75), "c1d0b01d7dcc29ca", "3e8b488776c1f719", "30d70b731bb62bf0"),
+    ((24, 4, 0.5, 2.5, 0.8), "0c49cc2cd8b6f139", "de122350eb6114a3", "7f9024af6d128b9d"),
+]
+
+
+@pytest.mark.parametrize("args,planted,null,text", GOLDEN_SAMPLES)
+def test_sampled_bits_golden(args, planted, null, text):
+    def digest(data):
+        return hashlib.sha256(data).hexdigest()[:16]
+
+    pp = derive_params(*args)
+    sample = sample_planted(pp, 7, key=(1, 0))
+    assert digest(sample.Y.bits.tobytes()) == planted
+    assert digest(sample_null_tensor(pp, 7, key=(0, 0)).bits.tobytes()) == null
+    assert digest(write_hypergraph_text(sample.Y.to_hypergraph()).encode()) == text
 
 
 def test_exact_enumeration_mass_and_marginals():

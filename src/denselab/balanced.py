@@ -17,7 +17,7 @@ from math import comb
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .errors import BudgetExceededError, InvalidArgumentError, RegimeError
-from .hypergraph import Edge, Hypergraph, all_edges, induced_vertices
+from .hypergraph import Edge, Hypergraph, all_edges, count_embeddings, induced_vertices
 
 DENSITY_BUDGET_VERTICES = 20
 ENDPOINT_DENOM = 10 ** 9
@@ -144,17 +144,8 @@ def check_complement_inequality(
 
 
 def automorphism_count(hg: Hypergraph) -> int:
-    """|Aut(H)| by brute force over vertex permutations (small graphs only)."""
-    verts = sorted(induced_vertices(hg.edges))
-    if len(verts) > 10:
-        raise BudgetExceededError("automorphism brute force limited to 10 vertices")
-    edges = hg.edges
-    count = 0
-    for perm in itertools.permutations(verts):
-        mapping = dict(zip(verts, perm))
-        if all(tuple(sorted(mapping[v] for v in e)) in edges for e in edges):
-            count += 1
-    return count
+    """|Aut(H)|, counted as the embeddings of H into itself."""
+    return count_embeddings(hg, hg)
 
 
 def simplest_fraction_between(lo: Fraction, hi: Fraction) -> Fraction:
@@ -228,13 +219,5 @@ def find_balanced_motif(
             if induced_vertices(edge_set) != full:
                 continue
             hg = Hypergraph(ell, r, frozenset(edge_set))
-            ok, cert = is_balanced(hg)
-            if ok:
-                return BalancedMotif(
-                    motif=hg,
-                    ell=ell,
-                    m=m,
-                    ratio=target,
-                    aut_count=automorphism_count(hg),
-                    certificate=cert,
-                )
+            if is_balanced(hg)[0]:
+                return certify_motif(hg)

@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from .balanced import BalancedMotif, find_balanced_motif, motif_from_json_dict
 from .errors import (
@@ -38,17 +38,24 @@ EXIT_BUDGET = 3
 EXIT_REGIME = 4
 
 
+def _read_text(path: str, flag: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidArgumentError(f"cannot read the {flag} file: {exc}") from None
+
+
 def _read_config(path: str) -> Dict[str, str]:
     out: Dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise InvalidArgumentError(f"bad config line: {raw!r}")
-            key, value = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = value.strip()
+    for raw in _read_text(path, "--config").splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise InvalidArgumentError(f"bad config line: {raw!r}")
+        key, value = line.split("=", 1)
+        out[key.strip().replace("-", "_")] = value.strip()
     return out
 
 
@@ -60,15 +67,17 @@ def _apply_config(args: argparse.Namespace, casts: Dict[str, type]) -> None:
         if key not in casts:
             raise InvalidArgumentError(f"unknown config key {key!r}")
         if getattr(args, key, None) is None:
-            setattr(args, key, casts[key](raw))
+            try:
+                setattr(args, key, casts[key](raw))
+            except ValueError:
+                raise InvalidArgumentError(f"config key {key!r}: bad value {raw!r}") from None
 
 
-def _float_list(text: str) -> List[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
-
-
-def _int_list(text: str) -> List[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+def _parse_list(text: str, cast: type, flag: str) -> list:
+    try:
+        return [cast(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise InvalidArgumentError(f"{flag}: bad {cast.__name__} in {text!r}") from None
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -146,8 +155,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 def _resolve_motif(args: argparse.Namespace) -> BalancedMotif:
     if getattr(args, "motif_file", None):
-        with open(args.motif_file, "r", encoding="utf-8") as fh:
-            return motif_from_json_dict(json.load(fh))
+        return motif_from_json_dict(json.loads(_read_text(args.motif_file, "--motif-file")))
     _require(args, "alpha", "beta", "gamma", "r")
     return find_balanced_motif(args.alpha, args.beta, args.gamma, args.r)
 
@@ -160,8 +168,7 @@ def cmd_test(args: argparse.Namespace) -> int:
         motif = _resolve_motif(args)
         statistic = motif
     if args.input:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            hg, _ = parse_hypergraph_text(fh.read())
+        hg, _ = parse_hypergraph_text(_read_text(args.input, "--input"))
         result = threshold_test(hg, params, statistic)
         payload = {
             "statistic": result.statistic,
@@ -208,9 +215,9 @@ def cmd_ldlr(args: argparse.Namespace) -> int:
 
 def cmd_phase_diagram(args: argparse.Namespace) -> int:
     _require(args, "r", "beta", "alpha_grid", "gamma_grid", "n_grid")
-    alphas = _float_list(args.alpha_grid)
-    gammas = _float_list(args.gamma_grid)
-    ns = _int_list(args.n_grid)
+    alphas = _parse_list(args.alpha_grid, float, "--alpha-grid")
+    gammas = _parse_list(args.gamma_grid, float, "--gamma-grid")
+    ns = _parse_list(args.n_grid, int, "--n-grid")
     degree = args.degree if args.degree is not None else 10
     trials = args.trials or 0
     buf = io.StringIO()

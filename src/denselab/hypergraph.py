@@ -267,6 +267,80 @@ class AdjacencyTensor:
         )
 
 
+# --- embeddings --------------------------------------------------------------
+
+
+def _incidence(edges: Iterable[Edge]) -> Tuple[Dict[int, int], Dict[int, int]]:
+    """Per vertex: its degree and the bitset (bit w for vertex w) of its neighbours."""
+    deg: Dict[int, int] = {}
+    nbr: Dict[int, int] = {}
+    for e in edges:
+        mask = 0
+        for v in e:
+            mask |= 1 << v
+        for v in e:
+            deg[v] = deg.get(v, 0) + 1
+            nbr[v] = nbr.get(v, 0) | mask
+    return deg, {v: mask & ~(1 << v) for v, mask in nbr.items()}
+
+
+def count_embeddings(pattern: Hypergraph, host: Hypergraph) -> int:
+    """Injective maps from the pattern's non-isolated vertices into the host's
+    vertices that send every pattern edge to a host edge.
+
+    Backtracking places one pattern vertex at a time, the next being the one
+    with the most placed neighbours (ties: higher degree, then lower id). Its
+    candidates are the AND of the host neighbour bitsets of its placed
+    neighbours' images, minus the used vertices and the host vertices of lower
+    degree. At r = 2 that is the whole edge check; at r > 2 each pattern edge
+    the vertex completes is also looked up in host.edges. With equal vertex
+    and edge counts the maps are isomorphisms, so emb(H, H) = |Aut(H)|.
+    """
+    if pattern.r != host.r:
+        raise InvalidArgumentError(f"rank mismatch: pattern r={pattern.r}, host r={host.r}")
+    p_deg, p_nbr = _incidence(pattern.edges)
+    h_deg, h_nbr = _incidence(host.edges)
+    order: List[int] = []
+    placed = 0
+    for _ in p_deg:
+        v = max(
+            (u for u in p_deg if not placed >> u & 1),
+            key=lambda u: ((p_nbr[u] & placed).bit_count(), p_deg[u], -u),
+        )
+        order.append(v)
+        placed |= 1 << v
+    pos = {v: i for i, v in enumerate(order)}
+    anchors = [[pos[u] for u in order[:i] if p_nbr[v] >> u & 1] for i, v in enumerate(order)]
+    eligible = [sum(1 << w for w, d in h_deg.items() if d >= p_deg[v]) for v in order]
+    checks: List[List[Tuple[int, ...]]] = [[] for _ in order]
+    for e in pattern.edges if pattern.r > 2 else ():
+        at = tuple(pos[v] for v in e)
+        checks[max(at)].append(at)
+    host_edges = host.edges
+    img = [0] * len(order)
+    last = len(order) - 1
+
+    def extend(i: int, used: int) -> int:
+        cands = eligible[i] & ~used
+        for j in anchors[i]:
+            cands &= h_nbr[img[j]]
+        if i == last and not checks[i]:
+            return cands.bit_count()
+        total = 0
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            img[i] = low.bit_length() - 1
+            if checks[i] and not all(
+                tuple(sorted(img[j] for j in at)) in host_edges for at in checks[i]
+            ):
+                continue
+            total += 1 if i == last else extend(i + 1, used | low)
+        return total
+
+    return extend(0, 0) if order else 1
+
+
 # --- hypergraph text format ------------------------------------------------
 #
 # First line "n r"; then one edge per line as r space-separated 1-based vertex

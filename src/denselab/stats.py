@@ -17,13 +17,13 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import comb, factorial
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from .balanced import BalancedMotif
 from .errors import InvalidArgumentError
-from .hypergraph import AdjacencyTensor, Edge, Hypergraph
+from .hypergraph import AdjacencyTensor, Hypergraph, count_embeddings, induced_vertices
 from .models import ProblemParams, sample_null_tensor, sample_planted
 
 StatisticSpec = Union[str, BalancedMotif]  # "edge" or a motif
@@ -37,13 +37,17 @@ def standardized_edge_values(params: ProblemParams) -> Tuple[float, float]:
     return (1.0 - params.q) / params.sigma, -params.q / params.sigma
 
 
-def signed_edge_count(Y: AdjacencyTensor, params: ProblemParams) -> float:
-    """T-tilde = sum_e (Y_e - q)/sigma, computed as (#present - Mq)/sigma."""
+def _check_shape(Y: AdjacencyTensor, params: ProblemParams) -> None:
     if Y.n != params.n or Y.r != params.r:
         raise InvalidArgumentError(
             f"tensor shape (n={Y.n}, r={Y.r}) does not match params "
             f"(n={params.n}, r={params.r})"
         )
+
+
+def signed_edge_count(Y: AdjacencyTensor, params: ProblemParams) -> float:
+    """T-tilde = sum_e (Y_e - q)/sigma, computed as (#present - Mq)/sigma."""
+    _check_shape(Y, params)
     return (Y.present_count - params.M * params.q) / params.sigma
 
 
@@ -72,89 +76,17 @@ def exact_moments_edge_stat(params: ProblemParams) -> EdgeStatMoments:
 # --- motif counting ----------------------------------------------------------
 
 
-def _connected_edge_order(edges: Sequence[Edge]) -> List[Edge]:
-    """Reorder edges so each one shares a vertex with an earlier one when possible."""
-    remaining = list(edges)
-    ordered: List[Edge] = []
-    seen: set = set()
-    while remaining:
-        pick = None
-        for e in remaining:
-            if not ordered or seen & set(e):
-                pick = e
-                break
-        if pick is None:
-            pick = remaining[0]  # disconnected component: start fresh
-        ordered.append(pick)
-        seen.update(pick)
-        remaining.remove(pick)
-    return ordered
-
-
-def _count_embeddings(hg: Hypergraph, motif: Hypergraph) -> int:
-    """Injective vertex maps sending every motif edge to an edge of hg."""
-    motif_edges = _connected_edge_order(motif.sorted_edges())
-    host_edges = hg.sorted_edges()
-    by_vertex: Dict[int, List[Edge]] = {}
-    for e in host_edges:
-        for v in e:
-            by_vertex.setdefault(v, []).append(e)
-
-    count = 0
-
-    def extend(idx: int, vmap: Dict[int, int], used: set) -> None:
-        nonlocal count
-        if idx == len(motif_edges):
-            count += 1
-            return
-        me = motif_edges[idx]
-        mapped = [v for v in me if v in vmap]
-        if mapped:
-            candidates = by_vertex.get(vmap[mapped[0]], [])
-        else:
-            candidates = host_edges
-        for he in candidates:
-            he_set = set(he)
-            # every already-mapped motif vertex of this edge must land in he
-            if any(vmap[v] not in he_set for v in mapped):
-                continue
-            free_motif = [v for v in me if v not in vmap]
-            free_host = [w for w in he if w not in {vmap[v] for v in mapped}]
-            if len(free_host) != len(free_motif):
-                continue
-            for assignment in itertools.permutations(free_host):
-                if any(w in used for w in assignment):
-                    continue
-                for v, w in zip(free_motif, assignment):
-                    vmap[v] = w
-                    used.add(w)
-                extend(idx + 1, vmap, used)
-                for v, w in zip(free_motif, assignment):
-                    del vmap[v]
-                    used.discard(w)
-
-    extend(0, {}, set())
-    return count
-
-
 def count_motif(hg: Hypergraph, motif: BalancedMotif) -> int:
     """Edge subsets of hg whose edge-induced subhypergraph is a copy of the motif."""
-    if hg.r != motif.motif.r:
-        raise InvalidArgumentError("rank mismatch between host and motif")
-    return _count_embeddings(hg, motif.motif) // motif.aut_count
+    return count_embeddings(motif.motif, hg) // motif.aut_count
 
 
 def is_isomorphic(h1: Hypergraph, h2: Hypergraph) -> bool:
-    """Edge-induced isomorphism test by brute force over vertex bijections."""
-    v1 = sorted({v for e in h1.edges for v in e})
-    v2 = sorted({v for e in h2.edges for v in e})
+    """Edge-induced isomorphism: an embedding of h1 into h2 at equal sizes."""
+    v1, v2 = induced_vertices(h1.edges), induced_vertices(h2.edges)
     if len(v1) != len(v2) or len(h1.edges) != len(h2.edges) or h1.r != h2.r:
         return False
-    for perm in itertools.permutations(v2):
-        mp = dict(zip(v1, perm))
-        if all(tuple(sorted(mp[v] for v in e)) in h2.edges for e in h1.edges):
-            return True
-    return False
+    return count_embeddings(h1, h2) > 0
 
 
 def count_motif_by_subsets(hg: Hypergraph, motif: BalancedMotif) -> int:
@@ -228,6 +160,7 @@ class TestResult:
 
 
 def _statistic_value(Y: AdjacencyTensor, params: ProblemParams, statistic: StatisticSpec) -> float:
+    _check_shape(Y, params)
     if statistic == "edge":
         return signed_edge_count(Y, params)
     if isinstance(statistic, BalancedMotif):

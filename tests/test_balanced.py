@@ -70,6 +70,37 @@ def test_automorphism_counts():
     assert automorphism_count(k4) == 24
 
 
+def cycle(n):
+    return Hypergraph(n, 2, frozenset(tuple(sorted((v, v % n + 1))) for v in range(1, n + 1)))
+
+
+def petersen():
+    outer = [(v, v % 5 + 1) for v in range(1, 6)]
+    spokes = [(v, v + 5) for v in range(1, 6)]
+    inner = [(v + 5, (v + 1) % 5 + 6) for v in range(1, 6)]
+    return Hypergraph(10, 2, frozenset(tuple(sorted(e)) for e in outer + spokes + inner))
+
+
+@pytest.mark.parametrize(
+    "hg,expected",
+    [
+        (cycle(12), 24),  # dihedral group D12; 12 vertices used to exceed the cap
+        (petersen(), 120),  # S5
+        (Hypergraph(6, 2, frozenset((a, b) for a in (1, 2, 3) for b in (4, 5, 6))), 72),
+        (Hypergraph.complete(4, 3), 24),
+    ],
+    ids=["C12", "petersen", "K33", "K4^3"],
+)
+def test_automorphism_counts_named_graphs(hg, expected):
+    assert automorphism_count(hg) == expected
+
+
+def test_certify_motif_twelve_vertex_cycle():
+    motif = certify_motif(cycle(12))
+    assert motif.aut_count == 24
+    assert motif.ratio == 1 and motif.certificate.balanced
+
+
 @pytest.mark.parametrize(
     "lo,hi,expected",
     [

@@ -205,3 +205,47 @@ def test_worker_count_does_not_change_output(tmp_path):
         assert res.returncode == 0
         envs.append(res.stdout)
     assert envs[0] == envs[1]
+
+
+def test_motif_input_shape_mismatch_exit_code(tmp_path, capsys):
+    # both statistics share one (n, r) check: a 5-vertex file is not an n=60 host
+    graph = tmp_path / "g.txt"
+    graph.write_text("5 2\n1 2\n2 3\n3 4\n")
+    code = main(["test", "--stat", "motif", "--input", str(graph), "--n", "60", "--r", "2",
+                 "--alpha", "0.3", "--beta", "0.75", "--gamma", "0.48"])
+    assert code == 2
+    assert "does not match" in capsys.readouterr().err
+
+
+GRID = ["phase-diagram", "--r", "2", "--beta", "0.5", "--degree", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--config", "{cfg}"],
+        ["sample", "--config", "{missing}"] + BASE,
+        ["test", "--input", "{missing}", "--seed", "1"] + BASE,
+        ["test", "--input", "{tmp}", "--seed", "1"] + BASE,
+        ["test", "--input", "{binary}", "--seed", "1"] + BASE,
+        ["test", "--stat", "motif", "--motif-file", "{missing}", "--trials", "2",
+         "--seed", "1"] + BASE,
+        GRID + ["--alpha-grid", "0.2,x", "--gamma-grid", "0.6", "--n-grid", "32"],
+        GRID + ["--alpha-grid", "0.2", "--gamma-grid", "0.6,,y", "--n-grid", "32"],
+        GRID + ["--alpha-grid", "0.2", "--gamma-grid", "0.6", "--n-grid", "32,1e3"],
+    ],
+    ids=["config-value", "config-missing", "input-missing", "input-directory",
+         "input-binary", "motif-file-missing", "alpha-grid", "gamma-grid", "n-grid"],
+)
+def test_bad_cli_input_exits_2_without_traceback(argv, tmp_path):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("n=abc\nr=2\nalpha=0.25\nbeta=0.5\ngamma=0.5\nseed=3\n")
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"\xff\xfe\x00")
+    paths = {"cfg": cfg, "missing": tmp_path / "missing", "tmp": tmp_path, "binary": binary}
+    argv = [a.format(**paths) for a in argv]
+    res = subprocess.run([sys.executable, "-m", "denselab.cli"] + argv,
+                         capture_output=True, text=True)
+    assert res.returncode == 2, res.stderr
+    assert any(line.startswith("error: ") for line in res.stderr.splitlines())
+    assert "Traceback" not in res.stderr

@@ -15,7 +15,6 @@ from .errors import (
     RegimeError,
 )
 from .hypergraph import (
-    AdjacencyTensor,
     Hypergraph,
     count_isolated_free_edge_sets,
     count_subgraph_class,

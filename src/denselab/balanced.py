@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, Tuple
 
 from .errors import BudgetExceededError, InvalidArgumentError, RegimeError
 from .hypergraph import Edge, Hypergraph, all_edges, count_embeddings, induced_vertices
@@ -62,8 +62,7 @@ class BalancedMotif:
 
 
 def motif_from_json_dict(d: dict) -> BalancedMotif:
-    hg = Hypergraph(d["n"], d["r"], frozenset(tuple(e) for e in d["edges"]))
-    return certify_motif(hg)
+    return certify_motif(Hypergraph(d["n"], d["r"], d["edges"]))
 
 
 def certify_motif(hg: Hypergraph) -> BalancedMotif:
@@ -218,6 +217,6 @@ def find_balanced_motif(
                 )
             if induced_vertices(edge_set) != full:
                 continue
-            hg = Hypergraph(ell, r, frozenset(edge_set))
+            hg = Hypergraph(ell, r, edge_set)
             if is_balanced(hg)[0]:
                 return certify_motif(hg)

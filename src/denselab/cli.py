@@ -82,8 +82,11 @@ def _parse_list(text: str, cast: type, flag: str) -> list:
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InvalidArgumentError(f"cannot write the --out file: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -137,25 +140,26 @@ def cmd_sample(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
     _require(args, "seed")
     if args.model == "null":
-        hg = sample_null(params, args.seed)
-        text = write_hypergraph_text(hg)
+        text = write_hypergraph_text(sample_null(params, args.seed))
     elif args.model == "planted":
         sample = sample_planted(params, args.seed)
-        hg = sample.Y.to_hypergraph()
         z_line = "Z: " + " ".join(str(v) for v in sorted(sample.Z))
-        text = write_hypergraph_text(hg, comments=[z_line])
+        text = write_hypergraph_text(sample.Y, comments=[z_line])
     else:
         aux, Y = sample_aux(params, args.seed)
-        hg = Y.to_hypergraph()
         signs = " ".join("1" if u > 0 else "-1" for u in aux.u)
-        text = write_hypergraph_text(hg, comments=[f"u-signs: {signs}"])
+        text = write_hypergraph_text(Y, comments=[f"u-signs: {signs}"])
     _emit(text, args.out)
     return EXIT_OK
 
 
 def _resolve_motif(args: argparse.Namespace) -> BalancedMotif:
     if getattr(args, "motif_file", None):
-        return motif_from_json_dict(json.loads(_read_text(args.motif_file, "--motif-file")))
+        text = _read_text(args.motif_file, "--motif-file")
+        try:
+            return motif_from_json_dict(json.loads(text))
+        except (ValueError, KeyError, TypeError) as exc:  # ValueError covers JSON and motif checks
+            raise InvalidArgumentError(f"--motif-file is not a valid motif: {exc!r}") from None
     _require(args, "alpha", "beta", "gamma", "r")
     return find_balanced_motif(args.alpha, args.beta, args.gamma, args.r)
 

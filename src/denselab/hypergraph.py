@@ -6,14 +6,15 @@ sorted vertex tuple, giving a fixed bijection onto [0, C(n, r)).
 
 `rank_edge`/`unrank_edge` work on one edge in exact big-int arithmetic.
 `rank_edges`/`unrank_edges` are the array kernel used on hot paths; they hold
-ranks in int64, so they need C(n, r) < 2^63.
+ranks in int64, so they need C(n, r) < 2^63. `Hypergraph`, the one edge-set
+type, stores its edges as such ranks.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -24,23 +25,15 @@ from .errors import BudgetExceededError, InvalidArgumentError
 Edge = Tuple[int, ...]
 
 
-def validate_edge(edge: Sequence[int], n: int, r: int) -> Edge:
-    """Check canonical form (strictly increasing, in [1, n], length r)."""
-    e = tuple(int(v) for v in edge)
-    if len(e) != r:
-        raise InvalidArgumentError(f"edge {e} does not have {r} vertices")
-    if any(a >= b for a, b in zip(e, e[1:])):
-        raise InvalidArgumentError(f"edge {e} is not strictly increasing")
-    if e[0] < 1 or e[-1] > n:
-        raise InvalidArgumentError(f"edge {e} has a vertex outside [1, {n}]")
-    return e
-
-
 def rank_edge(edge: Sequence[int], n: int, r: int) -> int:
     """Lexicographic rank of a canonical edge among all edges of K_n^r."""
     if n < r:
         raise InvalidArgumentError(f"n={n} < r={r}")
-    e = validate_edge(edge, n, r)
+    e = tuple(int(v) for v in edge)
+    if len(e) != r:
+        raise InvalidArgumentError(f"edge {e} does not have {r} vertices")
+    if any(a >= b for a, b in zip(e, e[1:])) or e[0] < 1 or e[-1] > n:
+        raise InvalidArgumentError(f"edge {e} is not strictly increasing within [1, {n}]")
     rank = 0
     prev = 0
     for i, c in enumerate(e):
@@ -74,22 +67,31 @@ def unrank_edge(index: int, n: int, r: int) -> Edge:
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
+TABLE_BUDGET_VERTICES = 1 << 20
 
 
 @functools.lru_cache(maxsize=32)
 def binomial_table(n: int, r: int) -> np.ndarray:
     """Read-only int64 table T[x, k] = C(x, k) for 0 <= x <= n, 0 <= k <= r.
 
-    Raises BudgetExceededError when C(n, r) >= 2^63, the largest rank space
-    the array kernel can index. Entries past 2^63 - 1 (possible only when
+    Raises InvalidArgumentError unless n >= r >= 2. Raises BudgetExceededError
+    when C(n, r) >= 2^63, the largest rank space the array kernel can index,
+    or when n exceeds TABLE_BUDGET_VERTICES, which bounds the table's
+    (n + 1)(r + 1) entries. Entries past 2^63 - 1 (possible only when
     r > n/2) saturate there; no rank of an edge of K_n^r ever reads one, since
     each term of a rank is below C(n, r).
     """
+    if r < 2:
+        raise InvalidArgumentError(f"r={r} < 2")
     if n < r:
         raise InvalidArgumentError(f"n={n} < r={r}")
     if comb(n, r) > _INT64_MAX:
         raise BudgetExceededError(
             f"C({n}, {r}) = {comb(n, r)} edges do not fit in int64 ranks (limit 2^63)"
+        )
+    if n > TABLE_BUDGET_VERTICES:
+        raise BudgetExceededError(
+            f"n={n} exceeds the {TABLE_BUDGET_VERTICES}-vertex budget of the rank table"
         )
     table = np.zeros((n + 1, r + 1), dtype=np.int64)
     table[:, 0] = 1
@@ -191,80 +193,80 @@ def count_subgraph_class(n: int, ell: int, m: int, r: int) -> int:
     return comb(n, ell) * count_isolated_free_edge_sets(ell, m, r)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Hypergraph:
-    """An r-uniform hypergraph on vertex set [1, n] with a duplicate-free edge set."""
+    """An r-uniform hypergraph on the vertex set [1, n].
+
+    The edge set is `ranks`: the read-only, ascending, unique int64 ranks (see
+    rank_edges) of the edges, so binomial_table(n, r) must exist: C(n, r) below
+    2^63 and n at most TABLE_BUDGET_VERTICES. `edges` is a frozenset view of
+    the same set, built on first use.
+    """
 
     n: int
     r: int
-    edges: FrozenSet[Edge] = field(default_factory=frozenset)
+    ranks: np.ndarray
 
-    def __post_init__(self) -> None:
-        if self.r < 2:
-            raise InvalidArgumentError(f"r={self.r} < 2")
-        if self.n < self.r:
-            raise InvalidArgumentError(f"n={self.n} < r={self.r}")
-        canon = frozenset(validate_edge(e, self.n, self.r) for e in self.edges)
-        object.__setattr__(self, "edges", canon)
+    def __init__(self, n: int, r: int, edges: Iterable[Sequence[int]] = ()) -> None:
+        """Validate and rank the edges; an edge given twice is kept once."""
+        binomial_table(n, r)  # checks n >= r >= 2 and C(n, r) < 2^63
+        rows = list(dict.fromkeys(map(tuple, edges)))
+        bad = next((e for e in rows if len(e) != r), None)
+        if bad is not None:
+            raise InvalidArgumentError(f"edge {bad} does not have {r} vertices")
+        ranks = rank_edges(np.array(rows, dtype=np.int64).reshape(len(rows), r), n, r)
+        # Edge lists usually arrive in rank order (text files, combinations): sort if not.
+        self._init(n, r, np.sort(ranks) if (ranks[1:] < ranks[:-1]).any() else ranks)
+
+    @classmethod
+    def from_ranks(cls, n: int, r: int, ranks: np.ndarray) -> "Hypergraph":
+        """Wrap ascending, unique edge ranks in [0, C(n, r)), as the samplers
+        produce them. An int64 array is not copied but made read-only."""
+        hg = cls.__new__(cls)
+        hg._init(n, r, np.asarray(ranks, dtype=np.int64))
+        return hg
+
+    def _init(self, n: int, r: int, ranks: np.ndarray) -> None:
+        total = binomial_table(n, r)[n, r]
+        if ranks.ndim != 1 or ranks.size and (
+            ranks[0] < 0 or ranks[-1] >= total or (ranks[1:] <= ranks[:-1]).any()
+        ):
+            raise InvalidArgumentError(f"edge ranks must be ascending, unique, in [0, {total})")
+        ranks.flags.writeable = False
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "ranks", ranks)
 
     @classmethod
     def complete(cls, n: int, r: int) -> "Hypergraph":
-        return cls(n, r, frozenset(all_edges(n, r)))
+        return cls.from_ranks(n, r, np.arange(binomial_table(n, r)[n, r]))
+
+    @functools.cached_property
+    def edges(self) -> FrozenSet[Edge]:
+        return frozenset(self.sorted_edges())
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return self.ranks.size
 
     def sorted_edges(self) -> List[Edge]:
-        return sorted(self.edges)
+        """The edges in rank order, which is lexicographic order."""
+        return list(map(tuple, unrank_edges(self.ranks, self.n, self.r).tolist()))
 
-    def to_tensor(self) -> "AdjacencyTensor":
-        bits = np.zeros(comb(self.n, self.r), dtype=bool)
-        E = np.array(list(self.edges), dtype=np.int64).reshape(-1, self.r)
-        bits[rank_edges(E, self.n, self.r)] = True
-        return AdjacencyTensor(self.n, self.r, bits)
-
-
-@dataclass
-class AdjacencyTensor:
-    """Presence bits for every ranked edge of K_n^r."""
-
-    n: int
-    r: int
-    bits: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = comb(self.n, self.r)
-        bits = np.asarray(self.bits, dtype=bool)
-        if bits.shape != (m,):
-            raise InvalidArgumentError(
-                f"expected {m} bits for n={self.n}, r={self.r}, got shape {bits.shape}"
-            )
-        self.bits = bits
-
-    @property
-    def m(self) -> int:
-        return self.bits.shape[0]
-
-    @property
-    def present_count(self) -> int:
-        return int(self.bits.sum())
-
-    def present_edges(self) -> List[Edge]:
-        E = unrank_edges(np.flatnonzero(self.bits), self.n, self.r)
-        return [tuple(e) for e in E.tolist()]
-
-    def to_hypergraph(self) -> Hypergraph:
-        return Hypergraph(self.n, self.r, frozenset(self.present_edges()))
+    def to_hypergraph(self) -> "Hypergraph":
+        # Kept because bench/workloads.py calls sample_planted(...).Y.to_hypergraph().
+        return self
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AdjacencyTensor):
+        if not isinstance(other, Hypergraph):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self.r == other.r
-            and bool(np.array_equal(self.bits, other.bits))
-        )
+        return (self.n, self.r) == (other.n, other.r) and np.array_equal(self.ranks, other.ranks)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.r, self.ranks.tobytes()))
+
+    def __reduce__(self):
+        return type(self).from_ranks, (self.n, self.r, self.ranks)
 
 
 # --- embeddings --------------------------------------------------------------
@@ -353,8 +355,7 @@ def write_hypergraph_text(hg: Hypergraph, comments: Optional[Sequence[str]] = No
     lines = [f"{hg.n} {hg.r}"]
     for c in comments or []:
         lines.append(f"# {c}")
-    for e in hg.sorted_edges():
-        lines.append(" ".join(str(v) for v in e))
+    lines.extend(" ".join(map(str, e)) for e in hg.sorted_edges())
     return "\n".join(lines) + "\n"
 
 
@@ -390,4 +391,4 @@ def parse_hypergraph_text(text: str) -> Tuple[Hypergraph, List[str]]:
     if header is None:
         raise InvalidArgumentError("missing header line")
     n, r = header
-    return Hypergraph(n, r, frozenset(edges)), comments
+    return Hypergraph(n, r, edges), comments

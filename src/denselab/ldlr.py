@@ -14,7 +14,8 @@ import io
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
@@ -24,8 +25,8 @@ import numpy as np
 
 from .errors import BudgetExceededError, InvalidArgumentError
 from .hypergraph import (
-    AdjacencyTensor,
     Edge,
+    Hypergraph,
     all_edges,
     count_isolated_free_edge_sets,
     count_subgraph_class,
@@ -33,8 +34,7 @@ from .hypergraph import (
     unrank_edges,
     within_ranks,
 )
-from .models import PlantedSample, ProblemParams, RationalParams, sample_planted
-from .rng import child_rng
+from .models import ProblemParams, RationalParams, sample_planted
 
 LDLR_DPS = 40
 BRUTEFORCE_BUDGET = 10 ** 7
@@ -86,14 +86,22 @@ class LdlrClassTerm:
     m: int
     class_count: int
     term: float
+    term_log10: float  # finite where `term` underflows to 0.0 or overflows to inf
 
     @property
     def class_count_log10(self) -> float:
         return math.log10(self.class_count) if self.class_count > 0 else -math.inf
 
-    @property
-    def term_log10(self) -> float:
-        return math.log10(self.term) if self.term > 0 else -math.inf
+
+def _class_term(ell: int, m: int, class_count: int, exact) -> LdlrClassTerm:
+    """The class term from its exact value (mpf or Fraction); its log10 comes
+    from the exact value where the float is 0, subnormal or inf."""
+    term = float(exact)
+    if sys.float_info.min <= term < math.inf:
+        return LdlrClassTerm(ell, m, class_count, term, math.log10(term))
+    if isinstance(exact, Fraction):
+        exact = mpmath.mpf(exact.numerator) / exact.denominator
+    return LdlrClassTerm(ell, m, class_count, term, float(mpmath.log10(exact)))
 
 
 @dataclass(frozen=True)
@@ -122,7 +130,10 @@ class LdlrResult:
         return d
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        try:
+            return json.dumps(self.to_json_dict(), indent=2)
+        except ValueError as exc:  # Python's limit on int-to-str digits
+            raise BudgetExceededError(f"{exc}; --format csv gives classCountLog10") from None
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -159,7 +170,7 @@ def ldlr_norm_exact(params: ProblemParams, D: int) -> LdlrResult:
                     continue
                 term = mpmath.mpf(cnt) * rho ** (2 * ell) * w2 ** m
                 total += term
-                terms.append(LdlrClassTerm(ell, m, cnt, float(term)))
+                terms.append(_class_term(ell, m, cnt, term))
         return LdlrResult(
             value=float(1 + total),
             value_minus_one=float(total),
@@ -199,7 +210,7 @@ def ldlr_norm_bruteforce(
             by_class[(ell, m)] = (cnt + 1, acc + sq)
             total_sq += sq
     terms = tuple(
-        LdlrClassTerm(ell, m, cnt, float(acc))
+        _class_term(ell, m, cnt, acc)
         for (ell, m), (cnt, acc) in sorted(by_class.items())
     )
     return LdlrResult(
@@ -230,14 +241,6 @@ class ConditioningSpec:
     m_table: Dict[int, int]
     index_set: FrozenSet[Tuple[int, int]]
 
-    def l_max(self, m: int) -> int:
-        """Largest ell with m_ell <= m, or 0 if none (within the table range)."""
-        best = 0
-        for ell, m_ell in self.m_table.items():
-            if m_ell <= m:
-                best = max(best, ell)
-        return best
-
 
 def build_conditioning_spec(
     params: ProblemParams, delta: float, D: int
@@ -265,7 +268,7 @@ def build_conditioning_spec(
 
 
 def _dense_subset_exists(
-    present: Sequence[Edge], spec: ConditioningSpec
+    present: Sequence[Sequence[int]], spec: ConditioningSpec
 ) -> bool:
     """Whether some S of the present edges, |S| <= D, has |S| >= m_{|V(S)|}.
 
@@ -299,15 +302,20 @@ def _dense_subset_exists(
 
 def event_holds(
     Z: FrozenSet[int],
-    Y: AdjacencyTensor,
+    Y: Hypergraph,
     params: ProblemParams,
     spec: ConditioningSpec,
 ) -> bool:
     """E of the conditional construction: the planted part C = H[Z] contains no
     edge subset whose (vertex count, edge count) lies in the index set."""
+    if not Y.edge_count:
+        return True
     ranks = within_ranks(Z, params.n, params.r)
-    present = unrank_edges(ranks[Y.bits[ranks]], params.n, params.r)
-    return not _dense_subset_exists([tuple(e) for e in present.tolist()], spec)
+    # Y.ranks[pos] is the largest edge rank <= each within-Z rank; pos = -1
+    # wraps to the largest edge rank, which is then above it, so no match.
+    pos = np.searchsorted(Y.ranks, ranks, side="right") - 1
+    present = unrank_edges(ranks[Y.ranks[pos] == ranks], params.n, params.r)
+    return not _dense_subset_exists(present.tolist(), spec)
 
 
 @dataclass(frozen=True)
@@ -403,7 +411,7 @@ def conditional_ldlr_exact_tiny(
         by_class[(ell, m)] = (cnt + 1, acc + sq)
     total = good + bad
     terms = tuple(
-        LdlrClassTerm(ell, m, cnt, float(acc))
+        _class_term(ell, m, cnt, acc)
         for (ell, m), (cnt, acc) in sorted(by_class.items())
     )
     return LdlrResult(

@@ -18,13 +18,7 @@ from typing import FrozenSet, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import BudgetExceededError, InfeasibleError, InvalidArgumentError
-from .hypergraph import (
-    AdjacencyTensor,
-    Hypergraph,
-    all_edges,
-    binomial_table,
-    within_ranks,
-)
+from .hypergraph import Hypergraph, all_edges, binomial_table, within_ranks
 from .rng import child_rng
 
 
@@ -144,7 +138,7 @@ class RationalParams:
 @dataclass(frozen=True)
 class PlantedSample:
     Z: FrozenSet[int]
-    Y: AdjacencyTensor
+    Y: Hypergraph
 
 
 @dataclass(frozen=True)
@@ -159,40 +153,35 @@ class AuxPlantedParams:
 
 # Uniforms are drawn this many at a time, so a draw never holds C(n, r)
 # float64s. PCG64 gives random(a) then random(b) exactly the values of
-# random(a + b), so the block size does not change any sampled bit.
+# random(a + b), so the block size does not change any sampled edge.
 _U_BLOCK = 1 << 16
 _NO_RANKS = np.empty(0, dtype=np.int64)
 
 
-def _coupled_bits(rng, params: ProblemParams, within: np.ndarray, p: float) -> np.ndarray:
-    """One uniform u per edge rank: bit = u < p on the sorted ranks `within`,
-    u < q everywhere else."""
+def _coupled_ranks(rng, params: ProblemParams, within: np.ndarray, p: float) -> np.ndarray:
+    """The ascending present ranks, from one uniform u per rank in rank order:
+    present when u < p on the sorted ranks `within`, u < q everywhere else."""
     binomial_table(params.n, params.r)  # BudgetExceededError if C(n, r) >= 2^63
-    bits = np.empty(params.M, dtype=bool)
+    u_buf = np.empty(min(_U_BLOCK, params.M))
+    present_buf = np.empty(u_buf.size, dtype=bool)
+    found = []
     for start in range(0, params.M, _U_BLOCK):
-        u = rng.random(min(_U_BLOCK, params.M - start))
-        block = bits[start:start + u.size]
-        np.less(u, params.q, out=block)
-        lo, hi = np.searchsorted(within, (start, start + u.size))
+        k = min(_U_BLOCK, params.M - start)
+        u = rng.random(out=u_buf[:k])
+        present = np.less(u, params.q, out=present_buf[:k])
+        lo, hi = np.searchsorted(within, (start, start + k))
         local = within[lo:hi] - start
-        block[local] = u[local] < p
-    return bits
+        present[local] = u[local] < p
+        found.append(np.flatnonzero(present) + start)
+    return found[0] if len(found) == 1 else np.concatenate(found)
 
 
 def sample_null(
     params: ProblemParams, seed: int, key: Sequence[int] = ()
 ) -> Hypergraph:
     """One draw of the null model: each edge present independently w.p. q."""
-    bits = sample_null_tensor(params, seed, key).bits
-    return AdjacencyTensor(params.n, params.r, bits).to_hypergraph()
-
-
-def sample_null_tensor(
-    params: ProblemParams, seed: int, key: Sequence[int] = ()
-) -> AdjacencyTensor:
-    rng = child_rng(seed, *key)
-    bits = _coupled_bits(rng, params, _NO_RANKS, params.q)
-    return AdjacencyTensor(params.n, params.r, bits)
+    ranks = _coupled_ranks(child_rng(seed, *key), params, _NO_RANKS, params.q)
+    return Hypergraph.from_ranks(params.n, params.r, ranks)
 
 
 def sample_planted(
@@ -206,8 +195,8 @@ def sample_planted(
     rng = child_rng(seed, *key)
     z = rng.random(params.n) < params.rho
     Z = frozenset(int(i) + 1 for i in np.flatnonzero(z))
-    bits = _coupled_bits(rng, params, within_ranks(Z, params.n, params.r), params.p)
-    return PlantedSample(Z, AdjacencyTensor(params.n, params.r, bits))
+    ranks = _coupled_ranks(rng, params, within_ranks(Z, params.n, params.r), params.p)
+    return PlantedSample(Z, Hypergraph.from_ranks(params.n, params.r, ranks))
 
 
 def exact_spike(params: ProblemParams) -> float:
@@ -243,7 +232,7 @@ def sample_aux(
     seed: int,
     spike: Optional[float] = None,
     key: Sequence[int] = (),
-) -> Tuple[AuxPlantedParams, AdjacencyTensor]:
+) -> Tuple[AuxPlantedParams, Hypergraph]:
     """One draw of the auxiliary distribution (r = 2).
 
     Edge (i, j) is present with probability q + sigma*lambda*u_i*u_j, where u
@@ -259,9 +248,9 @@ def sample_aux(
     u = np.where(z, a, b)
     i_idx, j_idx = np.triu_indices(n, k=1)
     probs = q + sigma * lam * u[i_idx] * u[j_idx]
-    bits = rng.random(params.M) < probs
+    ranks = np.flatnonzero(rng.random(params.M) < probs)
     aux = AuxPlantedParams(lambda_spike=lam, a=a, b=b, u=u)
-    return aux, AdjacencyTensor(n, 2, bits)
+    return aux, Hypergraph.from_ranks(n, 2, ranks)
 
 
 @dataclass(frozen=True)

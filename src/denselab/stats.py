@@ -23,8 +23,8 @@ import numpy as np
 
 from .balanced import BalancedMotif
 from .errors import InvalidArgumentError
-from .hypergraph import AdjacencyTensor, Hypergraph, count_embeddings, induced_vertices
-from .models import ProblemParams, sample_null_tensor, sample_planted
+from .hypergraph import Hypergraph, count_embeddings, induced_vertices
+from .models import ProblemParams, sample_null, sample_planted
 
 StatisticSpec = Union[str, BalancedMotif]  # "edge" or a motif
 
@@ -37,18 +37,18 @@ def standardized_edge_values(params: ProblemParams) -> Tuple[float, float]:
     return (1.0 - params.q) / params.sigma, -params.q / params.sigma
 
 
-def _check_shape(Y: AdjacencyTensor, params: ProblemParams) -> None:
+def _check_shape(Y: Hypergraph, params: ProblemParams) -> None:
     if Y.n != params.n or Y.r != params.r:
         raise InvalidArgumentError(
-            f"tensor shape (n={Y.n}, r={Y.r}) does not match params "
+            f"hypergraph shape (n={Y.n}, r={Y.r}) does not match params "
             f"(n={params.n}, r={params.r})"
         )
 
 
-def signed_edge_count(Y: AdjacencyTensor, params: ProblemParams) -> float:
+def signed_edge_count(Y: Hypergraph, params: ProblemParams) -> float:
     """T-tilde = sum_e (Y_e - q)/sigma, computed as (#present - Mq)/sigma."""
     _check_shape(Y, params)
-    return (Y.present_count - params.M * params.q) / params.sigma
+    return (Y.edge_count - params.M * params.q) / params.sigma
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ def count_motif(hg: Hypergraph, motif: BalancedMotif) -> int:
 def is_isomorphic(h1: Hypergraph, h2: Hypergraph) -> bool:
     """Edge-induced isomorphism: an embedding of h1 into h2 at equal sizes."""
     v1, v2 = induced_vertices(h1.edges), induced_vertices(h2.edges)
-    if len(v1) != len(v2) or len(h1.edges) != len(h2.edges) or h1.r != h2.r:
+    if len(v1) != len(v2) or h1.edge_count != h2.edge_count or h1.r != h2.r:
         return False
     return count_embeddings(h1, h2) > 0
 
@@ -94,8 +94,7 @@ def count_motif_by_subsets(hg: Hypergraph, motif: BalancedMotif) -> int:
     m = motif.m
     total = 0
     for subset in itertools.combinations(hg.sorted_edges(), m):
-        sub = Hypergraph(hg.n, hg.r, frozenset(subset))
-        if is_isomorphic(sub, motif.motif):
+        if is_isomorphic(Hypergraph(hg.n, hg.r, subset), motif.motif):
             total += 1
     return total
 
@@ -159,12 +158,12 @@ class TestResult:
     threshold: float
 
 
-def _statistic_value(Y: AdjacencyTensor, params: ProblemParams, statistic: StatisticSpec) -> float:
+def _statistic_value(Y: Hypergraph, params: ProblemParams, statistic: StatisticSpec) -> float:
     _check_shape(Y, params)
     if statistic == "edge":
         return signed_edge_count(Y, params)
     if isinstance(statistic, BalancedMotif):
-        return float(count_motif(Y.to_hypergraph(), statistic))
+        return float(count_motif(Y, statistic))
     raise InvalidArgumentError(f"unknown statistic {statistic!r}")
 
 
@@ -179,13 +178,12 @@ def _threshold(params: ProblemParams, statistic: StatisticSpec) -> float:
 
 
 def threshold_test(
-    Y: Union[AdjacencyTensor, Hypergraph],
+    Y: Hypergraph,
     params: ProblemParams,
     statistic: StatisticSpec = "edge",
 ) -> TestResult:
     """Midpoint-threshold decision: planted iff the statistic exceeds the midpoint."""
-    tensor = Y.to_tensor() if isinstance(Y, Hypergraph) else Y
-    value = _statistic_value(tensor, params, statistic)
+    value = _statistic_value(Y, params, statistic)
     thr = _threshold(params, statistic)
     return TestResult(
         decision="planted" if value > thr else "null",
@@ -254,7 +252,7 @@ def _run_trial(
     # stream key (seed, model-id, trial) makes results schedule independent
     model_id = 0 if model == "null" else 1
     if model == "null":
-        Y = sample_null_tensor(params, seed, key=(model_id, trial))
+        Y = sample_null(params, seed, key=(model_id, trial))
     else:
         Y = sample_planted(params, seed, key=(model_id, trial)).Y
     return _statistic_value(Y, params, statistic)

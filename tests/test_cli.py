@@ -62,6 +62,28 @@ def test_invalid_worker_count_exit_code(workers, monkeypatch, capsys):
     assert "DENSELAB_WORKERS" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("header", ["4000000 3", "2097152 2"])
+def test_input_header_over_budget_exit_code(header, tmp_path, capsys):
+    # C(4e6, 3) >= 2^63 ranks; 2^21 vertices exceed the rank table's budget
+    graph = tmp_path / "g.txt"
+    graph.write_text(header + "\n")
+    code = main(["test", "--stat", "edge", "--input", str(graph), "--n", "5", "--r", "2",
+                 "--alpha", "0.25", "--beta", "0.5", "--gamma", "0.5"])
+    assert code == 3
+    assert "error:" in capsys.readouterr().err
+
+
+def test_ldlr_json_past_int_digit_limit_exit_code(tmp_path, capsys):
+    # at n = 1e250 the D = 10 class counts have more than 4300 digits
+    args = ["ldlr", "--mode", "exact", "--degree", "10", "--n", str(10 ** 250), "--r", "2",
+            "--alpha", "0.48", "--beta", "0.5", "--gamma", "0.6"]
+    code, _ = run_cli(args, tmp_path, "l.json")
+    assert code == 3
+    assert "--format csv" in capsys.readouterr().err
+    code, text = run_cli(args + ["--format", "csv"], tmp_path, "l.csv")
+    assert code == 0 and len(text.splitlines()) > 1
+
+
 @pytest.mark.parametrize("text", ["5 x\n1 2\n", "5 2\n1 2\n1 y\n", "5 2\n1 2\n1 2\n"])
 def test_malformed_input_file_exit_code(text, tmp_path, capsys):
     graph = tmp_path / "g.txt"
@@ -233,16 +255,26 @@ GRID = ["phase-diagram", "--r", "2", "--beta", "0.5", "--degree", "2"]
         GRID + ["--alpha-grid", "0.2,x", "--gamma-grid", "0.6", "--n-grid", "32"],
         GRID + ["--alpha-grid", "0.2", "--gamma-grid", "0.6,,y", "--n-grid", "32"],
         GRID + ["--alpha-grid", "0.2", "--gamma-grid", "0.6", "--n-grid", "32,1e3"],
+        ["test", "--stat", "motif", "--motif-file", "{cfg}", "--trials", "2",
+         "--seed", "1"] + BASE,
+        ["test", "--stat", "motif", "--motif-file", "{nokey}", "--trials", "2",
+         "--seed", "1"] + BASE,
+        ["find-balanced", "--alpha", "0.3", "--beta", "0.75", "--gamma", "0.48", "--r", "2",
+         "--out", "{missing}/x.json"],
     ],
     ids=["config-value", "config-missing", "input-missing", "input-directory",
-         "input-binary", "motif-file-missing", "alpha-grid", "gamma-grid", "n-grid"],
+         "input-binary", "motif-file-missing", "alpha-grid", "gamma-grid", "n-grid",
+         "motif-file-not-json", "motif-file-no-key", "out-unwritable"],
 )
 def test_bad_cli_input_exits_2_without_traceback(argv, tmp_path):
     cfg = tmp_path / "cfg"
     cfg.write_text("n=abc\nr=2\nalpha=0.25\nbeta=0.5\ngamma=0.5\nseed=3\n")
     binary = tmp_path / "binary"
     binary.write_bytes(b"\xff\xfe\x00")
-    paths = {"cfg": cfg, "missing": tmp_path / "missing", "tmp": tmp_path, "binary": binary}
+    nokey = tmp_path / "nokey.json"
+    nokey.write_text('{"n": 3}')
+    paths = {"cfg": cfg, "missing": tmp_path / "missing", "tmp": tmp_path, "binary": binary,
+             "nokey": nokey}
     argv = [a.format(**paths) for a in argv]
     res = subprocess.run([sys.executable, "-m", "denselab.cli"] + argv,
                          capture_output=True, text=True)

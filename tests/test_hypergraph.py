@@ -1,4 +1,5 @@
 import itertools
+import pickle
 from math import comb
 
 import numpy as np
@@ -8,9 +9,9 @@ from hypothesis import strategies as st
 
 from denselab.errors import BudgetExceededError, InvalidArgumentError
 from denselab.hypergraph import (
-    AdjacencyTensor,
     Hypergraph,
     all_edges,
+    TABLE_BUDGET_VERTICES,
     binomial_table,
     count_isolated_free_edge_sets,
     count_subgraph_class,
@@ -104,6 +105,9 @@ def test_rank_kernel_validation():
     # C(4e6, 3) ~ 1.07e19 ranks do not fit in int64
     with pytest.raises(BudgetExceededError):
         rank_edges(np.array([[1, 2, 3]]), 4_000_000, 3)
+    # ranks fit, but the table would hold (n + 1)(r + 1) entries
+    with pytest.raises(BudgetExceededError):
+        Hypergraph(TABLE_BUDGET_VERTICES + 1, 2)
 
 
 def test_isolated_free_counts():
@@ -143,18 +147,41 @@ def test_hypergraph_canonicalization():
         Hypergraph(4, 2, frozenset({(2, 1)}))
     with pytest.raises(InvalidArgumentError):
         Hypergraph(1, 2)
+    with pytest.raises(InvalidArgumentError):
+        Hypergraph(4, 2, [(1, 2), (1, 2, 3)])
+    assert Hypergraph(4, 2, [(1, 2), [1, 2], (3, 4)]) == hg
+
+
+@given(st.integers(2, 4), st.data())
+@settings(max_examples=80)
+def test_hypergraph_ranks_text_and_pickle_roundtrip(r, data):
+    n = data.draw(st.integers(r, 12))
+    edges = data.draw(st.lists(st.sampled_from(list(all_edges(n, r))), max_size=30))
+    hg = Hypergraph(n, r, edges)
+    assert hg.edges == frozenset(edges)
+    assert hg.edge_count == len(hg.edges)
+    assert hg.sorted_edges() == sorted(hg.edges)
+    assert hg.ranks.tolist() == sorted(rank_edge(e, n, r) for e in hg.edges)
+    assert not hg.ranks.flags.writeable
+    wrapped = Hypergraph.from_ranks(n, r, hg.ranks)
+    assert Hypergraph(n, r, hg.edges) == wrapped == hg
+    assert hash(wrapped) == hash(hg)
+    assert parse_hypergraph_text(write_hypergraph_text(hg))[0] == hg
+    restored = pickle.loads(pickle.dumps(hg))
+    assert restored == hg and not restored.ranks.flags.writeable
 
 
 def test_tensor_roundtrip():
     hg = Hypergraph(5, 2, frozenset({(1, 2), (2, 5), (3, 4)}))
-    t = hg.to_tensor()
-    assert t.present_count == 3
-    assert t.to_hypergraph() == hg
+    assert hg.edge_count == 3
+    assert hg.ranks.tolist() == [0, 6, 7]
+    assert Hypergraph.from_ranks(5, 2, hg.ranks) == hg
 
 
 def test_tensor_shape_checked():
-    with pytest.raises(InvalidArgumentError):
-        AdjacencyTensor(4, 2, np.zeros(5, dtype=bool))
+    for ranks in ([6], [-1], [3, 1], [1, 1], [[0, 1]]):
+        with pytest.raises(InvalidArgumentError):
+            Hypergraph.from_ranks(4, 2, np.array(ranks))
 
 
 def test_text_format_roundtrip():

@@ -94,6 +94,18 @@ def test_ldlr_large_n_fast():
     assert all(t.term >= 0 for t in res.per_class)
 
 
+def test_ldlr_term_log10_from_exact_terms():
+    # float(term) underflows to 0.0 on 29 classes here; the log10 stays finite
+    res = ldlr_norm_exact(derive_params(10 ** 200, 2, 0.48, 0.5, 0.6), 10)
+    assert sum(t.term == 0.0 for t in res.per_class) >= 29
+    assert all(math.isfinite(t.term_log10) for t in res.per_class)
+    assert "-inf" not in res.to_csv()
+    for t in ldlr_norm_exact(tiny_params(), 3).per_class + ldlr_norm_bruteforce(
+        tiny_params(), 3
+    ).per_class:
+        assert t.term_log10 == pytest.approx(math.log10(t.term), rel=1e-12)
+
+
 def test_ldlr_csv_schema():
     res = ldlr_norm_exact(tiny_params(), 2)
     lines = res.to_csv().splitlines()
@@ -157,10 +169,10 @@ def test_m_table_strictly_increasing_when_rate_above_one():
 def test_event_trivial_cases():
     pp = derive_params(6, 2, 0.45, 0.6, 0.3)
     spec = build_conditioning_spec(pp, 0.1, 3)
-    empty = Hypergraph(6, 2).to_tensor()
+    empty = Hypergraph(6, 2)
     assert event_holds(frozenset(), empty, pp, spec)
     spec_empty = build_conditioning_spec(pp, 0.1, 2)
-    full = Hypergraph.complete(6, 2).to_tensor()
+    full = Hypergraph.complete(6, 2)
     assert event_holds(frozenset(range(1, 7)), full, pp, spec_empty)
 
 
@@ -169,7 +181,7 @@ def test_event_triangle_counterexample():
     pp = derive_params(6, 2, 0.45, 0.6, 0.3)
     spec = build_conditioning_spec(pp, 0.1, 3)
     assert (3, 3) in spec.index_set
-    tri = Hypergraph(6, 2, frozenset({(1, 2), (1, 3), (2, 3)})).to_tensor()
+    tri = Hypergraph(6, 2, frozenset({(1, 2), (1, 3), (2, 3)}))
     assert not event_holds(frozenset({1, 2, 3}), tri, pp, spec)
     # the same triangle outside Z is irrelevant
     assert event_holds(frozenset({4, 5, 6}), tri, pp, spec)
@@ -184,7 +196,7 @@ def test_event_matches_direct_subset_enumeration():
     inside = [e for e in universe if set(e) <= Z]
     for mask in range(2 ** len(inside)):
         edges = frozenset(e for i, e in enumerate(inside) if mask >> i & 1)
-        Y = Hypergraph(5, 2, edges).to_tensor()
+        Y = Hypergraph(5, 2, edges)
         naive_bad = any(
             (len(induced_vertices(S)), m) in spec.index_set
             for m in range(1, spec.D + 1)

@@ -21,7 +21,6 @@ from denselab.models import (
     exact_spike,
     sample_aux,
     sample_null,
-    sample_null_tensor,
     sample_planted,
     validate_aux_feasible,
 )
@@ -61,12 +60,12 @@ def test_explicit_hook():
 
 def test_null_sampler_determinism_and_rate():
     pp = derive_params(16, 2, 0.25, 0.5, 0.5)
-    a = sample_null_tensor(pp, 5)
-    b = sample_null_tensor(pp, 5)
+    a = sample_null(pp, 5)
+    b = sample_null(pp, 5)
     assert a == b
-    assert sample_null_tensor(pp, 6) != a
+    assert sample_null(pp, 6) != a
     # empirical edge rate within 5 sigma of q
-    counts = [sample_null_tensor(pp, 0, key=(t,)).present_count for t in range(400)]
+    counts = [sample_null(pp, 0, key=(t,)).edge_count for t in range(400)]
     mean = np.mean(counts)
     se = math.sqrt(pp.M * pp.q * (1 - pp.q) / 400)
     assert abs(mean - pp.M * pp.q) < 5 * se
@@ -83,7 +82,7 @@ def test_planted_sampler_monotone_coupling():
             for j in range(i + 1, len(zs)):
                 inside.add(rank_edge((zs[i], zs[j]), pp.n, pp.r))
         # edges outside Z follow the same uniforms as a null draw would
-        assert s.Y.bits.shape == (pp.M,)
+        assert (s.Y.n, s.Y.r) == (pp.n, pp.r)
         assert s.Z <= set(range(1, pp.n + 1))
 
 
@@ -92,11 +91,12 @@ def test_planted_rate_inside_z():
     hits = tot = 0
     for t in range(600):
         s = sample_planted(pp, 3, key=(t,))
+        present = set(s.Y.ranks.tolist())
         zs = sorted(s.Z)
         for i in range(len(zs)):
             for j in range(i + 1, len(zs)):
                 tot += 1
-                hits += bool(s.Y.bits[rank_edge((zs[i], zs[j]), pp.n, pp.r)])
+                hits += rank_edge((zs[i], zs[j]), pp.n, pp.r) in present
     assert tot > 1000
     se = math.sqrt(pp.p * (1 - pp.p) / tot)
     assert abs(hits / tot - pp.p) < 5 * se
@@ -119,11 +119,16 @@ def test_sampled_bits_golden(args, planted, null, text):
     def digest(data):
         return hashlib.sha256(data).hexdigest()[:16]
 
+    def bits(hg):
+        out = np.zeros(pp.M, dtype=bool)
+        out[hg.ranks] = True
+        return out.tobytes()
+
     pp = derive_params(*args)
     sample = sample_planted(pp, 7, key=(1, 0))
-    assert digest(sample.Y.bits.tobytes()) == planted
-    assert digest(sample_null_tensor(pp, 7, key=(0, 0)).bits.tobytes()) == null
-    assert digest(write_hypergraph_text(sample.Y.to_hypergraph()).encode()) == text
+    assert digest(bits(sample.Y)) == planted
+    assert digest(bits(sample_null(pp, 7, key=(0, 0)))) == null
+    assert digest(write_hypergraph_text(sample.Y).encode()) == text
 
 
 def test_exact_enumeration_mass_and_marginals():

@@ -14,7 +14,6 @@ from denselab.models import (
     derive_params,
     enumerate_planted_exact,
     sample_null,
-    sample_null_tensor,
     sample_planted,
 )
 from denselab.stats import (
@@ -52,8 +51,8 @@ def test_standardized_edge_values():
 
 def test_signed_edge_count_extremes():
     pp = ProblemParams.explicit(4, 2, 0.5, 0.25, 0.25)
-    empty = Hypergraph(4, 2).to_tensor()
-    full = Hypergraph.complete(4, 2).to_tensor()
+    empty = Hypergraph(4, 2)
+    full = Hypergraph.complete(4, 2)
     assert signed_edge_count(empty, pp) == pytest.approx(-6 * math.sqrt(0.25 / 0.75))
     assert signed_edge_count(full, pp) == pytest.approx(6 * math.sqrt(0.75 / 0.25))
 
@@ -62,15 +61,16 @@ def test_signed_edge_count_matches_per_edge_sum():
     pp = derive_params(8, 2, 0.25, 0.5, 0.5)
     hi, lo = standardized_edge_values(pp)
     for t in range(10):
-        Y = sample_null_tensor(pp, 21, key=(t,))
-        direct = sum(hi if b else lo for b in Y.bits)
+        Y = sample_null(pp, 21, key=(t,))
+        present = set(Y.ranks.tolist())
+        direct = sum(hi if i in present else lo for i in range(pp.M))
         assert signed_edge_count(Y, pp) == pytest.approx(direct, rel=1e-9)
 
 
 def test_signed_edge_count_shape_check():
     pp = derive_params(8, 2, 0.25, 0.5, 0.5)
     with pytest.raises(InvalidArgumentError):
-        signed_edge_count(Hypergraph(7, 2).to_tensor(), pp)
+        signed_edge_count(Hypergraph(7, 2), pp)
 
 
 def test_edge_moments_example():
@@ -95,7 +95,7 @@ def test_edge_moment_ep_against_exact_enumeration():
 def test_edge_moments_monte_carlo_null():
     pp = derive_params(10, 2, 0.25, 0.5, 0.5)
     vals = np.array(
-        [signed_edge_count(sample_null_tensor(pp, 8, key=(t,)), pp) for t in range(4000)]
+        [signed_edge_count(sample_null(pp, 8, key=(t,)), pp) for t in range(4000)]
     )
     se_mean = vals.std(ddof=1) / math.sqrt(len(vals))
     assert abs(vals.mean()) < 4 * se_mean

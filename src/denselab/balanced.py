@@ -9,13 +9,13 @@ selected by Stern-Brocot descent on inward-rounded rational endpoints.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import FrozenSet, Tuple
 
+from . import jsonout
 from .errors import BudgetExceededError, InvalidArgumentError, RegimeError
 from .hypergraph import Edge, Hypergraph, all_edges, count_embeddings, induced_vertices
 
@@ -58,7 +58,7 @@ class BalancedMotif:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        return jsonout.dumps(self.to_json_dict())
 
 
 def motif_from_json_dict(d: dict) -> BalancedMotif:

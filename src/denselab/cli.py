@@ -15,6 +15,7 @@ import json
 import sys
 from typing import Dict, Optional, Sequence
 
+from . import jsonout
 from .balanced import BalancedMotif, find_balanced_motif, motif_from_json_dict
 from .errors import (
     BudgetExceededError,
@@ -181,7 +182,7 @@ def cmd_test(args: argparse.Namespace) -> int:
         }
         if motif is not None:
             payload["motif"] = motif.to_json_dict()
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit(jsonout.dumps(payload) + "\n", args.out)
         return EXIT_OK
     _require(args, "trials", "seed")
     report = estimate_separation(params, statistic, args.trials, args.seed)
@@ -191,7 +192,7 @@ def cmd_test(args: argparse.Namespace) -> int:
         payload = report.to_json_dict()
         if motif is not None:
             payload["motif"] = motif.to_json_dict()
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit(jsonout.dumps(payload) + "\n", args.out)
     return EXIT_OK
 
 

@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
+import types
 from dataclasses import dataclass
 from math import comb
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -191,6 +193,53 @@ def count_subgraph_class(n: int, ell: int, m: int, r: int) -> int:
     if n < ell:
         raise InvalidArgumentError(f"n={n} < ell={ell}")
     return comb(n, ell) * count_isolated_free_edge_sets(ell, m, r)
+
+
+LDLR_CLASS_BUDGET = 20_000
+
+
+@functools.lru_cache(maxsize=8)
+def class_table(r: int, D: int) -> Mapping[Tuple[int, int], int]:
+    """Read-only map (ell, m) -> count_isolated_free_edge_sets(ell, m, r) for
+    r <= ell <= rD and ceil(ell/r) <= m <= D, holding only the nonzero counts
+    in ascending (ell, m) order; every other key reads 0 through `.get`.
+
+    The counts do not depend on n, so one table serves every n of the degree-D
+    low-degree norm. Built from the rows B[k][m] = C(C(k, r), m), k <= rD,
+    m <= D: each count is sum_j (-1)^j C(ell, j) B[ell - j][m] over the rows
+    with C(ell - j, r) >= m, the others being 0. Raises BudgetExceededError
+    when the table would exceed LDLR_CLASS_BUDGET (ell, m) pairs.
+    """
+    if r < 1 or D < 0:
+        raise InvalidArgumentError(f"r >= 1 and D >= 0 required, got r={r}, D={D}")
+    # ceil(ell/r) = 1 only at ell = r, and = k at the r values (k-1)r < ell <= kr
+    size = D + r * D * (D - 1) // 2
+    if size > LDLR_CLASS_BUDGET:
+        raise BudgetExceededError(
+            f"degree {D} at r={r} needs {size} (ell, m) classes, over the budget of "
+            f"{LDLR_CLASS_BUDGET}; lower --degree"
+        )
+    # cols[m][k] = C(C(k, r), m), by C(N, m) = C(N, m - 1) (N - m + 1) / m
+    sizes = [comb(k, r) for k in range(r * D + 1)]
+    cols: List[List[int]] = [[1] * len(sizes)]
+    for m in range(1, D + 1):
+        cols.append([b * (N - m + 1) // m for N, b in zip(sizes, cols[-1])])
+    # k_min[m]: the first row with C(k, r) >= m; the rows below it are 0 in column m
+    k_min = [r] * (D + 1)
+    for m in range(2, D + 1):
+        k = k_min[m - 1]
+        while sizes[k] < m:  # stops by k = rD, since C(rD, r) >= D
+            k += 1
+        k_min[m] = k
+    table: Dict[Tuple[int, int], int] = {}
+    for ell in range(r, r * D + 1):
+        signed = [(-1) ** j * comb(ell, j) for j in range(ell - r + 1)]
+        for m in range(-(-ell // r), D + 1):
+            col = cols[m]
+            count = sum(map(operator.mul, signed, col[ell : k_min[m] - 1 : -1]))
+            if count > 0:
+                table[ell, m] = count
+    return types.MappingProxyType(table)
 
 
 @dataclass(frozen=True, init=False, eq=False)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -23,13 +22,13 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 import mpmath
 import numpy as np
 
+from . import jsonout
 from .errors import BudgetExceededError, InvalidArgumentError
 from .hypergraph import (
     Edge,
     Hypergraph,
     all_edges,
-    count_isolated_free_edge_sets,
-    count_subgraph_class,
+    class_table,
     induced_vertices,
     unrank_edges,
     within_ranks,
@@ -131,7 +130,7 @@ class LdlrResult:
 
     def to_json(self) -> str:
         try:
-            return json.dumps(self.to_json_dict(), indent=2)
+            return jsonout.dumps(self.to_json_dict())
         except ValueError as exc:  # Python's limit on int-to-str digits
             raise BudgetExceededError(f"{exc}; --format csv gives classCountLog10") from None
 
@@ -149,28 +148,34 @@ class LdlrResult:
 def ldlr_norm_exact(params: ProblemParams, D: int) -> LdlrResult:
     """||L_{<=D}||^2 = 1 + sum_{ell,m} |S_{ell,m}| rho^{2ell} ((p-q)^2/sigma^2)^m.
 
-    Class counts are exact big integers; terms are accumulated at 40 decimal
-    digits so classes spanning hundreds of orders of magnitude sum stably.
-    Cost is polynomial in D and independent of M.
+    Class counts are exact big integers, C(n, ell) times the n-independent
+    `class_table(r, D)` entry, which is built once per (r, D) and raises
+    BudgetExceededError past LDLR_CLASS_BUDGET classes; terms are accumulated
+    at 40 decimal digits so classes spanning hundreds of orders of magnitude
+    sum stably. Cost is polynomial in D and independent of M.
     """
     if D < 0:
         raise InvalidArgumentError("D >= 0 required")
-    n, r = params.n, params.r
+    n = params.n
+    table = class_table(params.r, D)
     terms: List[LdlrClassTerm] = []
     with mpmath.workdps(LDLR_DPS):
         rho = mpmath.mpf(params.rho)
         w2 = (mpmath.mpf(params.p) - mpmath.mpf(params.q)) ** 2 / (
             mpmath.mpf(params.q) * (1 - mpmath.mpf(params.q))
         )
+        w2_pow = [w2 ** m for m in range(D + 1)]
         total = mpmath.mpf(0)
-        for ell in range(r, min(r * D, n) + 1):
-            for m in range(max(1, -(-ell // r)), D + 1):
-                cnt = count_subgraph_class(n, ell, m, r)
-                if cnt == 0:
-                    continue
-                term = mpmath.mpf(cnt) * rho ** (2 * ell) * w2 ** m
-                total += term
-                terms.append(_class_term(ell, m, cnt, term))
+        ell_done = None
+        for (ell, m), free in table.items():  # ascending ell, then m
+            if ell != ell_done:
+                if ell > n:
+                    break
+                n_sets, rho_pow, ell_done = comb(n, ell), rho ** (2 * ell), ell
+            cnt = n_sets * free  # |S_{ell,m}|, as count_subgraph_class
+            term = mpmath.mpf(cnt) * rho_pow * w2_pow[m]
+            total += term
+            terms.append(_class_term(ell, m, cnt, term))
         return LdlrResult(
             value=float(1 + total),
             value_minus_one=float(total),
@@ -255,12 +260,13 @@ def build_conditioning_spec(
         str(delta)
     )
     r = params.r
+    table = class_table(r, D)
     m_table = {ell: math.ceil(ell * rate) for ell in range(r, r * D + 1)}
     index = frozenset(
         (ell, m)
         for ell, m_ell in m_table.items()
         for m in range(m_ell, D + 1)
-        if count_isolated_free_edge_sets(ell, m, r) > 0
+        if (ell, m) in table
     )
     return ConditioningSpec(
         delta=float(delta), D=D, r=r, rate=rate, m_table=m_table, index_set=index

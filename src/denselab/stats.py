@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -21,6 +20,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from . import jsonout
 from .balanced import BalancedMotif
 from .errors import InvalidArgumentError
 from .hypergraph import Hypergraph, count_embeddings, induced_vertices
@@ -235,7 +235,7 @@ class SeparationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        return jsonout.dumps(self.to_json_dict())
 
     def to_csv(self) -> str:
         buf = io.StringIO()

@@ -281,3 +281,43 @@ def test_bad_cli_input_exits_2_without_traceback(argv, tmp_path):
     assert res.returncode == 2, res.stderr
     assert any(line.startswith("error: ") for line in res.stderr.splitlines())
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ldlr", "--mode", "exact", "--degree", "100000"] + BASE,
+        GRID[:-1] + ["100000", "--alpha-grid", "0.2", "--gamma-grid", "0.6", "--n-grid", "32"],
+    ],
+    ids=["ldlr", "phase-diagram"],
+)
+def test_degree_over_class_budget_exits_3_without_traceback(argv):
+    res = subprocess.run([sys.executable, "-m", "denselab.cli"] + argv,
+                         capture_output=True, text=True)
+    assert res.returncode == 3, res.stderr
+    errors = [line for line in res.stderr.splitlines() if line.startswith("error: ")]
+    assert errors and "--degree" in errors[0]
+    assert "Traceback" not in res.stderr
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+@pytest.mark.parametrize(
+    "argv, nulls",
+    [
+        (["test", "--stat", "edge", "--n", "3", "--r", "2", "--alpha", "0.05", "--beta", "0.9",
+          "--gamma", "0.99", "--trials", "2", "--seed", "1"], 1),
+        (["ldlr", "--mode", "exact", "--degree", "10", "--n", str(10 ** 200), "--r", "2",
+          "--alpha", "0.3", "--beta", "0.5", "--gamma", "0.6"], 26),
+    ],
+    ids=["infinite-separation", "ldlr-overflow"],
+)
+def test_json_output_is_strict(argv, nulls, tmp_path):
+    # equal planted and null samples give separation = inf; at n = 1e200 the
+    # value and the largest class terms overflow a float
+    code, text = run_cli(argv, tmp_path, "out.json")
+    assert code == 0
+    json.loads(text, parse_constant=_reject_constant)
+    assert text.count("null") == nulls

@@ -11,8 +11,10 @@ from denselab.errors import BudgetExceededError, InvalidArgumentError
 from denselab.hypergraph import (
     Hypergraph,
     all_edges,
+    LDLR_CLASS_BUDGET,
     TABLE_BUDGET_VERTICES,
     binomial_table,
+    class_table,
     count_isolated_free_edge_sets,
     count_subgraph_class,
     induced_vertices,
@@ -131,6 +133,30 @@ def test_isolated_free_counts_against_bruteforce():
                     if induced_vertices(sub) == full
                 )
                 assert count_isolated_free_edge_sets(ell, m, r) == brute
+
+
+def test_class_table_matches_scalar():
+    for r in (2, 3, 4):
+        for D in range(13):
+            table = class_table(r, D)
+            assert list(table) == sorted(table)
+            for ell in range(r, r * D + 1):
+                for m in range(-(-ell // r), D + 1):
+                    want = count_isolated_free_edge_sets(ell, m, r)
+                    assert table.get((ell, m), 0) == want
+                    assert ((ell, m) in table) == (want > 0)
+            assert all(-(-ell // r) <= m <= D and r <= ell <= r * D for ell, m in table)
+    with pytest.raises(TypeError):
+        class_table(2, 3)[2, 1] = 0
+
+
+def test_class_table_budget():
+    # D + r D (D - 1) / 2 (ell, m) classes: 19,600 at r = 2, D = 140; 19,881 at D = 141
+    assert len(class_table(2, 0)) == 0
+    with pytest.raises(BudgetExceededError, match="--degree"):
+        class_table(2, 142)
+    with pytest.raises(BudgetExceededError, match=str(LDLR_CLASS_BUDGET)):
+        class_table(3, 10 ** 12)
 
 
 def test_subgraph_class_examples():

@@ -2,11 +2,20 @@ import itertools
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from denselab.errors import BudgetExceededError, InvalidArgumentError
-from denselab.hypergraph import Hypergraph, all_edges, induced_vertices
+from denselab.hypergraph import (
+    Hypergraph,
+    all_edges,
+    count_isolated_free_edge_sets,
+    count_subgraph_class,
+    induced_vertices,
+)
 from denselab.ldlr import (
+    LDLR_DPS,
+    _class_term,
     build_conditioning_spec,
     conditional_ldlr_exact_tiny,
     conditional_numerators_exact_tiny,
@@ -104,6 +113,58 @@ def test_ldlr_term_log10_from_exact_terms():
         tiny_params(), 3
     ).per_class:
         assert t.term_log10 == pytest.approx(math.log10(t.term), rel=1e-12)
+
+
+def _ldlr_exact_oracle(params, D):
+    """The class sum with one scalar count_subgraph_class call per class."""
+    n, r = params.n, params.r
+    terms = []
+    with mpmath.workdps(LDLR_DPS):
+        rho = mpmath.mpf(params.rho)
+        w2 = (mpmath.mpf(params.p) - mpmath.mpf(params.q)) ** 2 / (
+            mpmath.mpf(params.q) * (1 - mpmath.mpf(params.q))
+        )
+        total = mpmath.mpf(0)
+        for ell in range(r, min(r * D, n) + 1):
+            for m in range(max(1, -(-ell // r)), D + 1):
+                cnt = count_subgraph_class(n, ell, m, r)
+                if cnt == 0:
+                    continue
+                term = mpmath.mpf(cnt) * rho ** (2 * ell) * w2 ** m
+                total += term
+                terms.append(_class_term(ell, m, cnt, term))
+        return float(1 + total), float(total), tuple(terms)
+
+
+@pytest.mark.parametrize(
+    "n, r, alpha, beta, gamma, D",
+    [
+        (4, 2, 0.25, 0.5, 0.5, 0),
+        (7, 2, 0.3, 0.5, 0.6, 10),  # n < rD
+        (5, 3, 0.3, 0.9, 0.6, 4),
+        (10000, 3, 0.4, 1.2, 0.6, 30),
+        (10 ** 200, 2, 0.3, 0.5, 0.6, 10),
+        (10 ** 6, 4, 0.2, 1.5, 0.7, 8),
+    ],
+)
+def test_ldlr_exact_matches_scalar_oracle(n, r, alpha, beta, gamma, D):
+    pp = derive_params(n, r, alpha, beta, gamma)
+    res = ldlr_norm_exact(pp, D)
+    assert (res.value, res.value_minus_one, res.per_class) == _ldlr_exact_oracle(pp, D)
+
+
+@pytest.mark.parametrize(
+    "n, alpha, beta, gamma, D",
+    [(4, 0.45, 0.6, 0.3, 2), (4, 0.45, 0.6, 0.3, 3), (200, 0.59, 0.8, 0.24, 10)],
+)
+def test_conditioning_index_set_matches_scalar(n, alpha, beta, gamma, D):
+    spec = build_conditioning_spec(derive_params(n, 2, alpha, beta, gamma), 0.1, D)
+    assert spec.index_set == {
+        (ell, m)
+        for ell, m_ell in spec.m_table.items()
+        for m in range(m_ell, D + 1)
+        if count_isolated_free_edge_sets(ell, m, 2) > 0
+    }
 
 
 def test_ldlr_csv_schema():

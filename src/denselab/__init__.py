@@ -34,7 +34,6 @@ from .ldlr import (
     event_holds,
     ldlr_norm_bruteforce,
     ldlr_norm_exact,
-    phi_expectation_planted,
 )
 from .models import (
     ProblemParams,

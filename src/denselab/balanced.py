@@ -17,9 +17,16 @@ from typing import FrozenSet, Tuple
 
 from . import jsonout
 from .errors import BudgetExceededError, InvalidArgumentError, RegimeError
-from .hypergraph import Edge, Hypergraph, all_edges, count_embeddings, induced_vertices
+from .hypergraph import (
+    Edge,
+    Hypergraph,
+    all_edges,
+    count_embeddings,
+    induced_vertices,
+    vertex_subset_densities,
+)
+from .models import check_exponent_domain
 
-DENSITY_BUDGET_VERTICES = 20
 ENDPOINT_DENOM = 10 ** 9
 
 
@@ -84,30 +91,21 @@ def certify_motif(hg: Hypergraph) -> BalancedMotif:
 
 
 def max_subgraph_density(hg: Hypergraph) -> Tuple[Fraction, FrozenSet[int]]:
-    """Max over nonempty vertex subsets V' of |E(H[V'])| / |V'|, with a witness.
+    """Max over nonempty vertex subsets V' of |E(H[V'])| / |V'|, with a witness:
+    the first subset in (size, lexicographic) order that reaches the maximum.
 
     The vertex-subset form suffices: isolated vertices only lower the ratio,
-    and for fixed V' the ratio is maximized by taking all induced edges.
+    and for fixed V' the ratio is maximized by taking all induced edges. The
+    2^n - 1 subsets must fit SUBSET_BUDGET, so n <= 23.
     """
-    verts = sorted(induced_vertices(hg.edges))
-    if len(verts) != hg.n or not verts:
+    verts = induced_vertices(hg.edges)
+    if len(verts) != hg.n:
         raise InvalidArgumentError("hypergraph must be nonempty with no isolated vertices")
-    if hg.n > DENSITY_BUDGET_VERTICES:
-        raise BudgetExceededError(
-            f"{hg.n} vertices exceed the {DENSITY_BUDGET_VERTICES}-vertex budget"
-        )
-    edges = [frozenset(e) for e in hg.edges]
-    best = Fraction(0)
-    best_witness: FrozenSet[int] = frozenset({verts[0]})
-    for size in range(1, len(verts) + 1):
-        for sub in itertools.combinations(verts, size):
-            vs = frozenset(sub)
-            m_in = sum(1 for e in edges if e <= vs)
-            ratio = Fraction(m_in, size)
-            if ratio > best:
-                best = ratio
-                best_witness = vs
-    return best, best_witness
+    best_m, best_size, best_witness = 0, 1, (min(verts),)
+    for size, m_in, sub in vertex_subset_densities(hg.edges, range(1, hg.n + 1)):
+        if m_in * best_size > best_m * size:  # m_in / size beats the best ratio
+            best_m, best_size, best_witness = m_in, size, sub
+    return Fraction(best_m, best_size), frozenset(best_witness)
 
 
 def is_balanced(hg: Hypergraph) -> Tuple[bool, BalanceCertificate]:
@@ -181,11 +179,14 @@ def find_balanced_motif(
 ) -> BalancedMotif:
     """Search for the canonically smallest balanced motif with ratio in (1/beta, gamma/alpha).
 
-    Requires the small-gamma regime gamma < 1/2, alpha < beta*gamma. Candidate
-    sizes are (ell, m) = k * (denominator, numerator) of the Stern-Brocot
-    target ratio; within a size, edge sets of K_ell^r are scanned in
-    lexicographic rank order and the first balanced isolated-free set wins.
+    Requires exponents inside check_exponent_domain (InvalidArgumentError
+    otherwise) and the small-gamma regime gamma < 1/2, alpha < beta*gamma
+    (RegimeError otherwise). Candidate sizes are (ell, m) = k * (denominator,
+    numerator) of the Stern-Brocot target ratio; within a size, edge sets of
+    K_ell^r are scanned in lexicographic rank order and the first balanced
+    isolated-free set wins.
     """
+    check_exponent_domain(alpha, beta, gamma, r)
     if not (gamma < 0.5 and alpha < beta * gamma):
         raise RegimeError(
             f"regime gamma < 1/2 and alpha < beta*gamma required; "

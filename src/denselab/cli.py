@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import sys
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from . import jsonout
 from .balanced import BalancedMotif, find_balanced_motif, motif_from_json_dict
@@ -60,16 +60,19 @@ def _read_config(path: str) -> Dict[str, str]:
     return out
 
 
-def _apply_config(args: argparse.Namespace, casts: Dict[str, type]) -> None:
+def _apply_config(args: argparse.Namespace) -> None:
     """Fill still-unset (None) argument slots from the config file, if any."""
     if not getattr(args, "config", None):
         return
     for key, raw in _read_config(args.config).items():
-        if key not in casts:
+        if key not in FLAGS:
             raise InvalidArgumentError(f"unknown config key {key!r}")
         if getattr(args, key, None) is None:
+            kind = FLAGS[key]
             try:
-                setattr(args, key, casts[key](raw))
+                if isinstance(kind, tuple) and raw not in kind:
+                    raise ValueError(raw)
+                setattr(args, key, raw if isinstance(kind, tuple) else kind(raw))
             except ValueError:
                 raise InvalidArgumentError(f"config key {key!r}: bad value {raw!r}") from None
 
@@ -92,37 +95,24 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _add_param_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--config", help="key=value file supplying defaults")
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--r", type=int)
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--beta", type=float)
-    sp.add_argument("--gamma", type=float)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--out")
+MODELS = ("null", "planted", "aux")
+STATS = ("edge", "motif")
+MODES = ("exact", "bruteforce", "conditional")
+FORMATS = ("json", "csv")
 
-
-PARAM_CASTS: Dict[str, type] = {
-    "n": int,
-    "r": int,
-    "alpha": float,
-    "beta": float,
-    "gamma": float,
-    "seed": int,
-    "trials": int,
-    "degree": int,
-    "delta": float,
-    "out": str,
-    "format": str,
-    "model": str,
-    "stat": str,
-    "mode": str,
-    "input": str,
-    "motif_file": str,
-    "alpha_grid": str,
-    "gamma_grid": str,
-    "n_grid": str,
+# Every flag but --config, by its dest: the value type, or the tuple of its
+# choices. Command-line and --config values are cast and checked by this one
+# table, so a config value must pass the same check as the flag.
+FLAGS: Dict[str, Union[type, Tuple[str, ...]]] = {
+    "n": int, "r": int, "alpha": float, "beta": float, "gamma": float, "seed": int,
+    "out": str, "model": MODELS, "stat": STATS, "input": str, "motif_file": str,
+    "trials": int, "format": FORMATS, "degree": int, "mode": MODES, "delta": float,
+    "alpha_grid": str, "gamma_grid": str, "n_grid": str,
+}
+COMMON_FLAGS = ("n", "r", "alpha", "beta", "gamma", "seed", "out")
+HELP = {
+    "input": "hypergraph text file for a single decision",
+    "motif_file": "motif JSON from find-balanced",
 }
 
 
@@ -140,9 +130,10 @@ def _params_from_args(args: argparse.Namespace):
 def cmd_sample(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
     _require(args, "seed")
-    if args.model == "null":
+    model = args.model or "null"
+    if model == "null":
         text = write_hypergraph_text(sample_null(params, args.seed))
-    elif args.model == "planted":
+    elif model == "planted":
         sample = sample_planted(params, args.seed)
         z_line = "Z: " + " ".join(str(v) for v in sorted(sample.Z))
         text = write_hypergraph_text(sample.Y, comments=[z_line])
@@ -169,7 +160,7 @@ def cmd_test(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
     statistic = "edge"
     motif: Optional[BalancedMotif] = None
-    if args.stat == "motif":
+    if (args.stat or "edge") == "motif":
         motif = _resolve_motif(args)
         statistic = motif
     if args.input:
@@ -204,13 +195,11 @@ def cmd_ldlr(args: argparse.Namespace) -> int:
         result = ldlr_norm_exact(params, args.degree)
     elif mode == "bruteforce":
         result = ldlr_norm_bruteforce(params, args.degree)
-    elif mode == "conditional":
+    else:
         if args.delta is None:
             raise InvalidArgumentError("delta required for conditional mode")
         spec = build_conditioning_spec(params, args.delta, args.degree)
         result = conditional_ldlr_exact_tiny(params, spec)
-    else:
-        raise InvalidArgumentError(f"unknown mode {mode!r}")
     if (args.format or "json") == "csv":
         _emit(result.to_csv(), args.out)
     else:
@@ -260,48 +249,31 @@ def cmd_find_balanced(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+COMMANDS = (
+    ("sample", "draw one hypergraph and write it out", cmd_sample, ("model",)),
+    ("test", "threshold test or separation experiment", cmd_test,
+     ("stat", "input", "motif_file", "trials", "format")),
+    ("ldlr", "low-degree likelihood-ratio norm", cmd_ldlr, ("degree", "mode", "delta", "format")),
+    ("phase-diagram", "regime/LDLR sweep over a grid", cmd_phase_diagram,
+     ("alpha_grid", "gamma_grid", "n_grid", "degree", "trials")),
+    ("find-balanced", "balanced motif for the given regime", cmd_find_balanced, ()),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="denselab",
         description="Planted dense subhypergraph detection laboratory",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("sample", help="draw one hypergraph and write it out")
-    _add_param_flags(sp)
-    sp.add_argument("--model", choices=["null", "planted", "aux"], default="null")
-    sp.set_defaults(func=cmd_sample)
-
-    sp = sub.add_parser("test", help="threshold test or separation experiment")
-    _add_param_flags(sp)
-    sp.add_argument("--stat", choices=["edge", "motif"], default="edge")
-    sp.add_argument("--input", help="hypergraph text file for a single decision")
-    sp.add_argument("--motif-file", dest="motif_file", help="motif JSON from find-balanced")
-    sp.add_argument("--trials", type=int)
-    sp.add_argument("--format", choices=["json", "csv"])
-    sp.set_defaults(func=cmd_test)
-
-    sp = sub.add_parser("ldlr", help="low-degree likelihood-ratio norm")
-    _add_param_flags(sp)
-    sp.add_argument("--degree", type=int)
-    sp.add_argument("--mode", choices=["exact", "bruteforce", "conditional"])
-    sp.add_argument("--delta", type=float)
-    sp.add_argument("--format", choices=["json", "csv"])
-    sp.set_defaults(func=cmd_ldlr)
-
-    sp = sub.add_parser("phase-diagram", help="regime/LDLR sweep over a grid")
-    _add_param_flags(sp)
-    sp.add_argument("--alpha-grid", dest="alpha_grid")
-    sp.add_argument("--gamma-grid", dest="gamma_grid")
-    sp.add_argument("--n-grid", dest="n_grid")
-    sp.add_argument("--degree", type=int)
-    sp.add_argument("--trials", type=int)
-    sp.set_defaults(func=cmd_phase_diagram)
-
-    sp = sub.add_parser("find-balanced", help="balanced motif for the given regime")
-    _add_param_flags(sp)
-    sp.set_defaults(func=cmd_find_balanced)
-
+    for name, help_text, func, own_flags in COMMANDS:
+        sp = sub.add_parser(name, help=help_text)
+        sp.add_argument("--config", help="key=value file supplying defaults")
+        for key in COMMON_FLAGS + own_flags:
+            kind = FLAGS[key]
+            check = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+            sp.add_argument("--" + key.replace("_", "-"), dest=key, help=HELP.get(key), **check)
+        sp.set_defaults(func=func)
     return parser
 
 
@@ -309,7 +281,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args, PARAM_CASTS)
+        _apply_config(args)
         return args.func(args)
     except InvalidArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,7 +7,8 @@ sorted vertex tuple, giving a fixed bijection onto [0, C(n, r)).
 `rank_edge`/`unrank_edge` work on one edge in exact big-int arithmetic.
 `rank_edges`/`unrank_edges` are the array kernel used on hot paths; they hold
 ranks in int64, so they need C(n, r) < 2^63. `Hypergraph`, the one edge-set
-type, stores its edges as such ranks.
+type, stores its edges as such ranks. `vertex_subset_densities` is the one
+exhaustive search over vertex subsets, bounded by SUBSET_BUDGET.
 """
 
 from __future__ import annotations
@@ -171,6 +172,37 @@ def induced_vertices(edges: Iterable[Edge]) -> FrozenSet[int]:
     for e in edges:
         out.update(e)
     return frozenset(out)
+
+
+SUBSET_BUDGET = 10 ** 7
+
+
+def vertex_subset_densities(
+    edges: Iterable[Edge], sizes: Iterable[int]
+) -> Iterator[Tuple[int, int, Edge]]:
+    """(ell, induced edge count, vertex subset) for every ell-subset of the
+    edges' vertices, ell in `sizes` ascending, subsets in lexicographic order.
+
+    Sizes above the vertex count are skipped. Raises BudgetExceededError at
+    the call, before any subset is formed, when the asked sizes hold more than
+    SUBSET_BUDGET subsets in total.
+    """
+    edge_sets = [frozenset(e) for e in edges]
+    verts = sorted(induced_vertices(edge_sets))
+    sizes = sorted(ell for ell in set(sizes) if ell <= len(verts))
+    total = sum(comb(len(verts), ell) for ell in sizes)
+    if total > SUBSET_BUDGET:
+        raise BudgetExceededError(
+            f"{total} vertex subsets of {len(verts)} vertices (sizes {sizes[0]}..{sizes[-1]}) "
+            f"exceed SUBSET_BUDGET = {SUBSET_BUDGET}"
+        )
+
+    def scan() -> Iterator[Tuple[int, int, Edge]]:
+        for ell in sizes:
+            for sub in itertools.combinations(verts, ell):
+                yield ell, sum(map(frozenset(sub).issuperset, edge_sets)), sub
+
+    return scan()
 
 
 def count_isolated_free_edge_sets(ell: int, m: int, r: int) -> int:

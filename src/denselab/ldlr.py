@@ -25,19 +25,19 @@ import numpy as np
 from . import jsonout
 from .errors import BudgetExceededError, InvalidArgumentError
 from .hypergraph import (
+    SUBSET_BUDGET,
     Edge,
     Hypergraph,
     all_edges,
     class_table,
     induced_vertices,
     unrank_edges,
+    vertex_subset_densities,
     within_ranks,
 )
-from .models import ProblemParams, RationalParams, sample_planted
+from .models import ProblemParams, RationalParams, planted_outcomes, sample_planted
 
 LDLR_DPS = 40
-BRUTEFORCE_BUDGET = 10 ** 7
-EVENT_ENUM_BUDGET = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -56,19 +56,6 @@ class SigmaScaled:
 
     def to_float(self, rp: RationalParams) -> float:
         return float(self.coeff) / float(rp.sigma_sq) ** (self.sigma_pow / 2.0)
-
-
-def phi_expectation_planted(S: Iterable[Edge], params: ProblemParams) -> float:
-    """E_P[phi_S] = rho^{|V(S)|} ((p-q)/sigma)^{|S|}, evaluated in log space."""
-    edges = list(S)
-    if not edges:
-        return 1.0
-    ell = len(induced_vertices(edges))
-    m = len(edges)
-    w = (params.p - params.q) / params.sigma
-    if w == 0.0:
-        return 0.0
-    return math.exp(ell * math.log(params.rho) + m * math.log(w))
 
 
 def phi_expectation_planted_scaled(S: Iterable[Edge], rp: RationalParams) -> SigmaScaled:
@@ -101,6 +88,22 @@ def _class_term(ell: int, m: int, class_count: int, exact) -> LdlrClassTerm:
     if isinstance(exact, Fraction):
         exact = mpmath.mpf(exact.numerator) / exact.denominator
     return LdlrClassTerm(ell, m, class_count, term, float(mpmath.log10(exact)))
+
+
+def _exact_class_sums(
+    parts: Iterable[Tuple[Tuple[int, int], int, Fraction]]
+) -> Tuple[Dict[Tuple[int, int], Fraction], Tuple[LdlrClassTerm, ...]]:
+    """Merge parts (class (|V(S)|, |S|), subset count, exact sum of E[phi_S]^2
+    over those subsets) per class: the class sums, and the class terms in
+    ascending class order."""
+    by_class: Dict[Tuple[int, int], Tuple[int, Fraction]] = {}
+    for key, n_sets, part in parts:
+        cnt, acc = by_class.get(key, (0, Fraction(0)))
+        by_class[key] = (cnt + n_sets, acc + part)
+    terms = tuple(
+        _class_term(ell, m, cnt, acc) for (ell, m), (cnt, acc) in sorted(by_class.items())
+    )
+    return {key: acc for key, (_, acc) in by_class.items()}, terms
 
 
 @dataclass(frozen=True)
@@ -184,40 +187,35 @@ def ldlr_norm_exact(params: ProblemParams, D: int) -> LdlrResult:
         )
 
 
-def _subset_budget(M: int, D: int) -> int:
-    return sum(comb(M, d) for d in range(D + 1))
-
-
 def ldlr_norm_bruteforce(
     params: ProblemParams, D: int, exact: bool = False
 ) -> LdlrResult:
     """Direct sum of E_P[phi_S]^2 over every edge subset with |S| <= D.
 
-    With exact=True the sum is carried in rational arithmetic on the exact
-    binary values of (p, q, rho) and returned in exact_value.
+    Each subset is enumerated and classed by its own vertex count; at most
+    SUBSET_BUDGET subsets are allowed. With exact=True the sum is carried in
+    rational arithmetic on the exact binary values of (p, q, rho) and
+    returned in exact_value.
     """
     if D < 0:
         raise InvalidArgumentError("D >= 0 required")
     M = params.M
-    if _subset_budget(M, D) > BRUTEFORCE_BUDGET:
+    if sum(comb(M, d) for d in range(D + 1)) > SUBSET_BUDGET:
         raise BudgetExceededError(
-            f"sum of C({M}, d) for d <= {D} exceeds the {BRUTEFORCE_BUDGET} budget"
+            f"sum of C({M}, d) for d <= {D} exceeds SUBSET_BUDGET = {SUBSET_BUDGET}"
         )
     universe = list(all_edges(params.n, params.r))
     rp = params.exact()
-    by_class: Dict[Tuple[int, int], Tuple[int, Fraction]] = {}
-    total_sq = Fraction(0)
+    classes: Dict[Tuple[int, int], List] = {}  # class -> [subset count, one subset]
     for m in range(1, D + 1):
         for S in itertools.combinations(universe, m):
-            ell = len(induced_vertices(S))
-            sq = phi_expectation_planted_scaled(S, rp).squared(rp)
-            cnt, acc = by_class.get((ell, m), (0, Fraction(0)))
-            by_class[(ell, m)] = (cnt + 1, acc + sq)
-            total_sq += sq
-    terms = tuple(
-        _class_term(ell, m, cnt, acc)
-        for (ell, m), (cnt, acc) in sorted(by_class.items())
+            classes.setdefault((len(induced_vertices(S)), m), [0, S])[0] += 1
+    # E_P[phi_S] depends on S only through its class: one exact square per class
+    sums, terms = _exact_class_sums(
+        (key, cnt, cnt * phi_expectation_planted_scaled(S, rp).squared(rp))
+        for key, (cnt, S) in classes.items()
     )
+    total_sq = sum(sums.values(), Fraction(0))
     return LdlrResult(
         value=float(1 + total_sq),
         value_minus_one=float(total_sq),
@@ -250,8 +248,8 @@ class ConditioningSpec:
 def build_conditioning_spec(
     params: ProblemParams, delta: float, D: int
 ) -> ConditioningSpec:
-    if delta <= 0:
-        raise InvalidArgumentError("delta > 0 required")
+    if not 0 < delta < math.inf:
+        raise InvalidArgumentError(f"finite delta > 0 required, got {delta}")
     if D < 0:
         raise InvalidArgumentError("D >= 0 required")
     if params.alpha is None or params.gamma is None:
@@ -282,28 +280,21 @@ def _dense_subset_exists(
     edges, for an ell with m_ell <= D feasible on ell vertices (taking m_ell
     of those edges gives a witness S, since m_ell is nondecreasing in ell).
     Enumerating vertex subsets keeps the cost bounded by the planted part's
-    vertex count rather than its edge count.
+    vertex count rather than its edge count; the subsets of every such ell
+    together must fit SUBSET_BUDGET, checked before the search starts.
     """
     if not spec.index_set or not present:
         return False
-    verts = sorted(induced_vertices(present))
-    edge_sets = [frozenset(e) for e in present]
-    work = 0
-    for ell in range(spec.r, min(spec.r * spec.D, len(verts)) + 1):
-        m_req = spec.m_table[ell]
-        if m_req > spec.D or comb(ell, spec.r) < m_req or m_req > len(present):
-            continue
-        work += comb(len(verts), ell)
-        if work > EVENT_ENUM_BUDGET:
-            raise BudgetExceededError(
-                f"event check over C({len(verts)}, {ell}) vertex subsets "
-                f"exceeds budget"
-            )
-        for sub in itertools.combinations(verts, ell):
-            vs = set(sub)
-            if sum(1 for e in edge_sets if e <= vs) >= m_req:
-                return True
-    return False
+    m_req = spec.m_table
+    cap = min(spec.D, len(present))
+    sizes = [
+        ell
+        for ell in range(spec.r, spec.r * cap + 1)
+        if m_req[ell] <= cap and m_req[ell] <= comb(ell, spec.r)
+    ]
+    return any(
+        m_in >= m_req[ell] for ell, m_in, _ in vertex_subset_densities(present, sizes)
+    )
 
 
 def event_holds(
@@ -358,33 +349,23 @@ def _enumerate_conditional_numerators(
     configurations of the edges within Z need enumerating.
     """
     n, r, D = params.n, params.r, spec.D
-    limit = CONDITIONAL_TINY_BUDGET_N.get(r)
-    if limit is None or n > limit:
+    if n > CONDITIONAL_TINY_BUDGET_N.get(r, -1):
+        pairs = " and ".join(f"n <= {k} at r = {j}" for j, k in CONDITIONAL_TINY_BUDGET_N.items())
         raise BudgetExceededError(
-            f"conditional enumeration supports n <= {limit} at r = {r}"
+            f"conditional enumeration supports only {pairs}; got n = {n}, r = {r}"
         )
     rp = params.exact()
     p_event = Fraction(0)
     coeff: Dict[Tuple[Edge, ...], Fraction] = {}
-    for z_mask in range(2 ** n):
-        Z = frozenset(i + 1 for i in range(n) if z_mask >> i & 1)
-        prob_z = rp.rho ** len(Z) * (1 - rp.rho) ** (n - len(Z))
-        c_edges = list(itertools.combinations(sorted(Z), r))
-        for bits in itertools.product((0, 1), repeat=len(c_edges)):
-            present = [e for e, b in zip(c_edges, bits) if b]
-            if _dense_subset_exists(present, spec):
-                continue
-            weight = prob_z
-            for b in bits:
-                weight *= rp.p if b else (1 - rp.p)
-            p_event += weight
-            signed = {e: (Fraction(b) - rp.q) for e, b in zip(c_edges, bits)}
-            for m in range(1, D + 1):
-                for S in itertools.combinations(c_edges, m):
-                    contrib = weight
-                    for e in S:
-                        contrib *= signed[e]
-                    coeff[S] = coeff.get(S, Fraction(0)) + contrib
+    outcomes = planted_outcomes(rp, lambda Z: list(itertools.combinations(sorted(Z), r)))
+    for _, c_edges, bits, weight in outcomes:
+        if _dense_subset_exists([e for e, b in zip(c_edges, bits) if b], spec):
+            continue
+        p_event += weight
+        signed = {e: (Fraction(b) - rp.q) for e, b in zip(c_edges, bits)}
+        for m in range(1, D + 1):
+            for S in itertools.combinations(c_edges, m):
+                coeff[S] = coeff.get(S, Fraction(0)) + math.prod(map(signed.get, S), start=weight)
     return p_event, coeff
 
 
@@ -402,24 +383,13 @@ def conditional_ldlr_exact_tiny(
     p_event, coeff = _enumerate_conditional_numerators(params, spec)
     if p_event == 0:
         raise InvalidArgumentError("conditioning event has probability zero")
-    good = Fraction(1)  # the empty S contributes 1 and is always good
-    bad = Fraction(0)
-    by_class: Dict[Tuple[int, int], Tuple[int, Fraction]] = {}
-    for S, c in coeff.items():
-        m = len(S)
-        ell = len(induced_vertices(S))
-        sq = c ** 2 / (p_event ** 2 * rp.sigma_sq ** m)
-        if (ell, m) in spec.index_set:
-            bad += sq
-        else:
-            good += sq
-        cnt, acc = by_class.get((ell, m), (0, Fraction(0)))
-        by_class[(ell, m)] = (cnt + 1, acc + sq)
-    total = good + bad
-    terms = tuple(
-        _class_term(ell, m, cnt, acc)
-        for (ell, m), (cnt, acc) in sorted(by_class.items())
+    sums, terms = _exact_class_sums(
+        ((len(induced_vertices(S)), len(S)), 1, c ** 2 / (p_event ** 2 * rp.sigma_sq ** len(S)))
+        for S, c in coeff.items()
     )
+    bad = sum((acc for key, acc in sums.items() if key in spec.index_set), Fraction(0))
+    total = 1 + sum(sums.values(), Fraction(0))  # the empty S contributes 1
+    good = total - bad
     return LdlrResult(
         value=float(total),
         value_minus_one=float(total - 1),

@@ -13,12 +13,12 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import FrozenSet, Optional, Sequence, Tuple
+from typing import Callable, FrozenSet, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import BudgetExceededError, InfeasibleError, InvalidArgumentError
-from .hypergraph import Hypergraph, all_edges, binomial_table, within_ranks
+from .hypergraph import Edge, Hypergraph, all_edges, binomial_table, within_ranks
 from .rng import child_rng
 
 
@@ -118,6 +118,17 @@ def derive_params(
     return ProblemParams(
         n, r, alpha, beta, gamma, enforce_alpha_lt_beta=enforce_alpha_lt_beta
     )
+
+
+def check_exponent_domain(alpha: float, beta: float, gamma: float, r: int) -> None:
+    """Raise InvalidArgumentError unless r >= 2, 0 < alpha < beta < r - 1 and
+    0 < gamma < 1 (so a nan exponent is rejected)."""
+    if r < 2:
+        raise InvalidArgumentError("r >= 2 violated")
+    if not 0 < alpha < beta < r - 1:
+        raise InvalidArgumentError("0 < alpha < beta < r - 1 violated")
+    if not 0 < gamma < 1:
+        raise InvalidArgumentError("0 < gamma < 1 violated")
 
 
 @dataclass(frozen=True)
@@ -329,6 +340,26 @@ class ExactDistribution:
 ENUMERATION_BUDGET_BITS = 26
 
 
+def planted_outcomes(
+    rp: RationalParams, edges_for: Callable[[FrozenSet[int]], Sequence[Edge]]
+) -> Iterator[Tuple[FrozenSet[int], Sequence[Edge], Tuple[int, ...], Fraction]]:
+    """(Z, edges, bits, probability) over every planted set Z and every 0/1
+    outcome `bits` of the edges `edges_for(Z)`, with its exact probability
+    under the planted law: Z has Ber(rho) memberships, edges inside Z are
+    Ber(p) and all others Ber(q). Z runs over the masks 0 .. 2^n - 1, vertex
+    i + 1 being bit i; bits run in itertools.product order.
+    """
+    n = rp.n
+    for z_mask in range(2 ** n):
+        Z = frozenset(i + 1 for i in range(n) if z_mask >> i & 1)
+        prob_z = rp.rho ** len(Z) * (1 - rp.rho) ** (n - len(Z))
+        edges = edges_for(Z)
+        edge_probs = [rp.p if Z.issuperset(e) else rp.q for e in edges]
+        for bits in itertools.product((0, 1), repeat=len(edges)):
+            factors = (pe if b else 1 - pe for b, pe in zip(bits, edge_probs))
+            yield Z, edges, bits, math.prod(factors, start=prob_z)
+
+
 def enumerate_planted_exact(rp: RationalParams) -> ExactDistribution:
     """Exact outcome enumeration of the planted model with rational densities."""
     n, r = rp.n, rp.r
@@ -338,16 +369,7 @@ def enumerate_planted_exact(rp: RationalParams) -> ExactDistribution:
             f"2^{n} * 2^{M} outcomes exceed the 2^{ENUMERATION_BUDGET_BITS} budget"
         )
     edges = list(all_edges(n, r))
-    outcomes = []
-    for z_mask in range(2 ** n):
-        Z = frozenset(i + 1 for i in range(n) if z_mask >> i & 1)
-        prob_z = rp.rho ** len(Z) * (1 - rp.rho) ** (n - len(Z))
-        edge_probs = [
-            rp.p if set(e) <= Z else rp.q for e in edges
-        ]
-        for bits in itertools.product((0, 1), repeat=M):
-            pr = prob_z
-            for b, pe in zip(bits, edge_probs):
-                pr *= pe if b else (1 - pe)
-            outcomes.append((Z, bits, pr))
-    return ExactDistribution(n, r, tuple(outcomes))
+    outcomes = tuple(
+        (Z, bits, pr) for Z, _, bits, pr in planted_outcomes(rp, lambda Z: edges)
+    )
+    return ExactDistribution(n, r, outcomes)

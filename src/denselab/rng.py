@@ -10,8 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvalidArgumentError
+
 
 def child_rng(seed: int, *key: int) -> np.random.Generator:
     """Return the generator for the child stream (seed, *key)."""
     entropy = [int(seed)] + [int(k) for k in key]
+    if min(entropy) < 0:
+        raise InvalidArgumentError(f"seed {seed} and stream key {key} must be >= 0")
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))

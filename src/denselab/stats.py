@@ -24,7 +24,7 @@ from . import jsonout
 from .balanced import BalancedMotif
 from .errors import InvalidArgumentError
 from .hypergraph import Hypergraph, count_embeddings, induced_vertices
-from .models import ProblemParams, sample_null, sample_planted
+from .models import ProblemParams, check_exponent_domain, sample_null, sample_planted
 
 StatisticSpec = Union[str, BalancedMotif]  # "edge" or a motif
 
@@ -349,12 +349,7 @@ def estimate_separation(
 
 def classify_regime(alpha: float, beta: float, gamma: float, r: int) -> str:
     """Easy/hard/boundary per the degree-O(1) detection threshold map."""
-    if r < 2:
-        raise InvalidArgumentError("r >= 2 violated")
-    if not 0 < alpha < beta < r - 1:
-        raise InvalidArgumentError("0 < alpha < beta < r - 1 violated")
-    if not 0 < gamma < 1:
-        raise InvalidArgumentError("0 < gamma < 1 violated")
+    check_exponent_domain(alpha, beta, gamma, r)
     if gamma >= 0.5:
         threshold = beta / 2.0 + r * (gamma - 0.5)
     else:

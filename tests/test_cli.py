@@ -240,6 +240,8 @@ def test_motif_input_shape_mismatch_exit_code(tmp_path, capsys):
 
 
 GRID = ["phase-diagram", "--r", "2", "--beta", "0.5", "--degree", "2"]
+COND = ["ldlr", "--mode", "conditional", "--degree", "3", "--n", "4", "--r", "2",
+        "--alpha", "0.45", "--beta", "0.6", "--gamma", "0.3"]
 
 
 @pytest.mark.parametrize(
@@ -261,10 +263,19 @@ GRID = ["phase-diagram", "--r", "2", "--beta", "0.5", "--degree", "2"]
          "--seed", "1"] + BASE,
         ["find-balanced", "--alpha", "0.3", "--beta", "0.75", "--gamma", "0.48", "--r", "2",
          "--out", "{missing}/x.json"],
+        COND + ["--delta", "nan"],
+        COND + ["--delta", "inf"],
+        ["sample", "--seed", "-1"] + BASE,
+        ["test", "--trials", "2", "--seed", "-1"] + BASE,
+        ["find-balanced", "--alpha", "0", "--beta", "0.75", "--gamma", "0.48", "--r", "2"],
+        ["find-balanced", "--alpha", "0.3", "--beta", "0.75", "--gamma", "0.48", "--r", "1"],
+        ["find-balanced", "--alpha", "0.3", "--beta", "inf", "--gamma", "0.48", "--r", "2"],
     ],
     ids=["config-value", "config-missing", "input-missing", "input-directory",
          "input-binary", "motif-file-missing", "alpha-grid", "gamma-grid", "n-grid",
-         "motif-file-not-json", "motif-file-no-key", "out-unwritable"],
+         "motif-file-not-json", "motif-file-no-key", "out-unwritable", "delta-nan",
+         "delta-inf", "sample-seed-negative", "test-seed-negative", "find-balanced-alpha-0",
+         "find-balanced-r-1", "find-balanced-beta-inf"],
 )
 def test_bad_cli_input_exits_2_without_traceback(argv, tmp_path):
     cfg = tmp_path / "cfg"
@@ -321,3 +332,38 @@ def test_json_output_is_strict(argv, nulls, tmp_path):
     assert code == 0
     json.loads(text, parse_constant=_reject_constant)
     assert text.count("null") == nulls
+
+
+def test_config_supplies_model_and_stat(tmp_path):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("n=20\nr=2\nalpha=0.3\nbeta=0.75\ngamma=0.48\nseed=2\ntrials=2\n"
+                   "model=planted\nstat=motif\n")
+    code, text = run_cli(["sample", "--config", str(cfg)], tmp_path, "s.txt")
+    assert code == 0
+    assert any(line.startswith("# Z:") for line in text.splitlines())
+    code, rep = run_cli(["test", "--config", str(cfg)], tmp_path, "rep.json")
+    assert code == 0
+    assert json.loads(rep)["motif"]["ratio"] == [3, 2]
+    # an explicit flag still beats the config value
+    code, text = run_cli(["sample", "--config", str(cfg), "--model", "null"], tmp_path, "n.txt")
+    assert code == 0 and not any(line.startswith("#") for line in text.splitlines())
+
+
+@pytest.mark.parametrize(
+    "key, command",
+    [("model", "sample"), ("stat", "test"), ("mode", "ldlr"), ("format", "ldlr")],
+)
+def test_config_value_outside_flag_choices_exits_2(key, command, tmp_path, capsys):
+    cfg = tmp_path / "cfg"
+    cfg.write_text(f"{key}=foo\ndegree=2\ntrials=2\nseed=1\n")
+    code = main([command, "--config", str(cfg)] + BASE)
+    assert code == 2
+    assert f"config key {key!r}: bad value 'foo'" in capsys.readouterr().err
+
+
+def test_conditional_budget_names_supported_pairs(capsys):
+    code = main(["ldlr", "--mode", "conditional", "--degree", "3", "--delta", "0.1",
+                 "--n", "4", "--r", "4", "--alpha", "0.45", "--beta", "0.6", "--gamma", "0.3"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "n <= 4 at r = 2 and n <= 4 at r = 3; got n = 4, r = 4" in err

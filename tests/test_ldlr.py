@@ -24,7 +24,6 @@ from denselab.ldlr import (
     event_holds,
     ldlr_norm_bruteforce,
     ldlr_norm_exact,
-    phi_expectation_planted,
     phi_expectation_planted_scaled,
 )
 from denselab.models import derive_params, enumerate_planted_exact
@@ -35,13 +34,16 @@ def tiny_params():
 
 
 def test_phi_expectation_empty_set():
-    assert phi_expectation_planted([], tiny_params()) == 1.0
+    rp = tiny_params().exact()
+    assert phi_expectation_planted_scaled([], rp).to_float(rp) == 1.0
 
 
 def test_phi_expectation_examples():
-    pp = tiny_params()
-    assert phi_expectation_planted([(1, 2)], pp) == pytest.approx(0.10355, abs=1e-4)
-    assert phi_expectation_planted([(1, 2), (2, 3)], pp) == pytest.approx(
+    rp = tiny_params().exact()
+    assert phi_expectation_planted_scaled([(1, 2)], rp).to_float(rp) == pytest.approx(
+        0.10355, abs=1e-4
+    )
+    assert phi_expectation_planted_scaled([(1, 2), (2, 3)], rp).to_float(rp) == pytest.approx(
         0.021446, abs=1e-5
     )
 

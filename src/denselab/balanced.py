@@ -28,6 +28,10 @@ from .hypergraph import (
 from .models import check_exponent_domain
 
 ENDPOINT_DENOM = 10 ** 9
+# find_balanced_motif gives up past motifs of MOTIF_MAX_ELL vertices, or
+# after MOTIF_CANDIDATE_BUDGET edge sets scanned over all sizes.
+MOTIF_MAX_ELL = 12
+MOTIF_CANDIDATE_BUDGET = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -169,14 +173,7 @@ def ratio_interval(alpha: float, beta: float, gamma: float) -> Tuple[Fraction, F
     return lo, hi
 
 
-def find_balanced_motif(
-    alpha: float,
-    beta: float,
-    gamma: float,
-    r: int,
-    max_ell: int = 12,
-    max_candidates: int = 5_000_000,
-) -> BalancedMotif:
+def find_balanced_motif(alpha: float, beta: float, gamma: float, r: int) -> BalancedMotif:
     """Search for the canonically smallest balanced motif with ratio in (1/beta, gamma/alpha).
 
     Requires exponents inside check_exponent_domain (InvalidArgumentError
@@ -184,7 +181,8 @@ def find_balanced_motif(
     (RegimeError otherwise). Candidate sizes are (ell, m) = k * (denominator,
     numerator) of the Stern-Brocot target ratio; within a size, edge sets of
     K_ell^r are scanned in lexicographic rank order and the first balanced
-    isolated-free set wins.
+    isolated-free set wins. BudgetExceededError past MOTIF_MAX_ELL or
+    MOTIF_CANDIDATE_BUDGET.
     """
     check_exponent_domain(alpha, beta, gamma, r)
     if not (gamma < 0.5 and alpha < beta * gamma):
@@ -200,10 +198,10 @@ def find_balanced_motif(
     while True:
         k += 1
         ell, m = k * den, k * num
-        if ell > max_ell:
+        if ell > MOTIF_MAX_ELL:
             raise BudgetExceededError(
                 f"no balanced motif with ratio {target} found within "
-                f"ell <= {max_ell} ({examined} candidates examined)"
+                f"ell <= MOTIF_MAX_ELL = {MOTIF_MAX_ELL} ({examined} candidates examined)"
             )
         if ell < r or m > comb(ell, r):
             continue
@@ -211,13 +209,14 @@ def find_balanced_motif(
         full = frozenset(range(1, ell + 1))
         for edge_set in itertools.combinations(universe, m):
             examined += 1
-            if examined > max_candidates:
+            if examined > MOTIF_CANDIDATE_BUDGET:
                 raise BudgetExceededError(
-                    f"motif search budget of {max_candidates} candidates "
+                    f"MOTIF_CANDIDATE_BUDGET = {MOTIF_CANDIDATE_BUDGET} candidates "
                     f"exhausted before reaching ratio {target}"
                 )
             if induced_vertices(edge_set) != full:
                 continue
-            hg = Hypergraph(ell, r, edge_set)
-            if is_balanced(hg)[0]:
-                return certify_motif(hg)
+            try:
+                return certify_motif(Hypergraph(ell, r, edge_set))
+            except InvalidArgumentError:  # not balanced: isolated-free is checked above
+                continue

@@ -152,13 +152,11 @@ def ldlr_norm_exact(params: ProblemParams, D: int) -> LdlrResult:
     """||L_{<=D}||^2 = 1 + sum_{ell,m} |S_{ell,m}| rho^{2ell} ((p-q)^2/sigma^2)^m.
 
     Class counts are exact big integers, C(n, ell) times the n-independent
-    `class_table(r, D)` entry, which is built once per (r, D) and raises
-    BudgetExceededError past LDLR_CLASS_BUDGET classes; terms are accumulated
-    at 40 decimal digits so classes spanning hundreds of orders of magnitude
-    sum stably. Cost is polynomial in D and independent of M.
+    `class_table(r, D)` entry, which is built once per (r, D), rejects D < 0
+    and raises BudgetExceededError past LDLR_CLASS_BUDGET classes; terms are
+    accumulated at 40 decimal digits so classes spanning hundreds of orders
+    of magnitude sum stably. Cost is polynomial in D and independent of M.
     """
-    if D < 0:
-        raise InvalidArgumentError("D >= 0 required")
     n = params.n
     table = class_table(params.r, D)
     terms: List[LdlrClassTerm] = []
@@ -250,8 +248,6 @@ def build_conditioning_spec(
 ) -> ConditioningSpec:
     if not 0 < delta < math.inf:
         raise InvalidArgumentError(f"finite delta > 0 required, got {delta}")
-    if D < 0:
-        raise InvalidArgumentError("D >= 0 required")
     if params.alpha is None or params.gamma is None:
         raise InvalidArgumentError("conditioning requires exponent-form params")
     rate = Fraction(str(params.gamma)) / Fraction(str(params.alpha)) + Fraction(

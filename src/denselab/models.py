@@ -24,54 +24,33 @@ from .rng import child_rng
 
 @dataclass(frozen=True)
 class ProblemParams:
-    """The tuple (n, r, alpha, beta, gamma) with derived (p, q, rho, sigma, M).
+    """Edge densities p (inside the planted set) and q (elsewhere) and the
+    membership rate rho of the r-uniform planted model on n vertices, with
+    the derived sigma = sqrt(q(1 - q)) and M = C(n, r).
 
-    Exponents may be None when the instance was built via `explicit`, the
-    internal hook that fixes (p, q, rho) directly (used by oracles and by
-    degenerate-regime tests such as p = q).
+    The exponents are those of p = n^-alpha, q = n^-beta, rho = n^(gamma-1)
+    when the record comes from `derive_params`, and None when it was built
+    from densities directly (`explicit`, or the constructor).
     """
 
     n: int
     r: int
-    alpha: Optional[float]
-    beta: Optional[float]
-    gamma: Optional[float]
-    p: float = field(init=False)
-    q: float = field(init=False)
-    rho: float = field(init=False)
+    p: float
+    q: float
+    rho: float
+    alpha: Optional[float] = None
+    beta: Optional[float] = None
+    gamma: Optional[float] = None
     sigma: float = field(init=False)
     M: int = field(init=False)
-    enforce_alpha_lt_beta: bool = True
 
     def __post_init__(self) -> None:
         if self.r < 2:
             raise InvalidArgumentError("r >= 2 violated")
         if self.n < self.r:
             raise InvalidArgumentError("n >= r violated")
-        if getattr(self, "_explicit", None):
-            return
-        a, b, g = self.alpha, self.beta, self.gamma
-        if a is None or b is None or g is None:
-            raise InvalidArgumentError("alpha, beta, gamma must all be given")
-        if not a > 0:
-            raise InvalidArgumentError("alpha > 0 violated")
-        if self.enforce_alpha_lt_beta and not a < b:
-            raise InvalidArgumentError("alpha < beta violated")
-        if not 0 < b < self.r - 1:
-            raise InvalidArgumentError("0 < beta < r - 1 violated")
-        if not 0 < g < 1:
-            raise InvalidArgumentError("0 < gamma < 1 violated")
-        ln_n = math.log(self.n)
-        object.__setattr__(self, "p", math.exp(-a * ln_n))
-        object.__setattr__(self, "q", math.exp(-b * ln_n))
-        object.__setattr__(self, "rho", math.exp((g - 1.0) * ln_n))
-        self._finish()
-
-    def _finish(self) -> None:
         if not 0 < self.q < 1 or not 0 < self.p < 1:
             raise InvalidArgumentError("0 < q, p < 1 violated")
-        if self.enforce_alpha_lt_beta and not self.q < self.p:
-            raise InvalidArgumentError("q < p violated")
         if not 0 < self.rho < 1:
             raise InvalidArgumentError("0 < rho < 1 violated")
         object.__setattr__(self, "sigma", math.sqrt(self.q * (1.0 - self.q)))
@@ -81,24 +60,11 @@ class ProblemParams:
     def explicit(
         cls, n: int, r: int, p: float, q: float, rho: float
     ) -> "ProblemParams":
-        """Internal hook: build params from explicit densities (q <= p allowed)."""
-        obj = cls.__new__(cls)
-        object.__setattr__(obj, "_explicit", True)
-        object.__setattr__(obj, "n", int(n))
-        object.__setattr__(obj, "r", int(r))
-        object.__setattr__(obj, "alpha", None)
-        object.__setattr__(obj, "beta", None)
-        object.__setattr__(obj, "gamma", None)
-        object.__setattr__(obj, "enforce_alpha_lt_beta", False)
-        object.__setattr__(obj, "p", float(p))
-        object.__setattr__(obj, "q", float(q))
-        object.__setattr__(obj, "rho", float(rho))
-        if obj.r < 2 or obj.n < obj.r:
-            raise InvalidArgumentError("n >= r >= 2 violated")
-        if not obj.q <= obj.p:
+        """Params from explicit densities with q <= p, so p = q is allowed
+        (used by oracles and by degenerate-regime tests)."""
+        if not q <= p:
             raise InvalidArgumentError("q <= p violated")
-        obj._finish()
-        return obj
+        return cls(int(n), int(r), float(p), float(q), float(rho))
 
     def exact(self) -> "RationalParams":
         """Rational view of the stored (binary) float densities."""
@@ -115,18 +81,34 @@ def derive_params(
     gamma: float,
     enforce_alpha_lt_beta: bool = True,
 ) -> ProblemParams:
-    return ProblemParams(
-        n, r, alpha, beta, gamma, enforce_alpha_lt_beta=enforce_alpha_lt_beta
+    """The params with p = n^-alpha, q = n^-beta and rho = n^(gamma-1), whose
+    exponents must pass check_exponent_domain; enforce_alpha_lt_beta=False
+    admits alpha >= beta, so p <= q."""
+    check_exponent_domain(alpha, beta, gamma, r, ordered=enforce_alpha_lt_beta)
+    if n < r:  # before math.log, which rejects n <= 0
+        raise InvalidArgumentError("n >= r violated")
+    ln_n = math.log(n)
+    params = ProblemParams(
+        n, r, math.exp(-alpha * ln_n), math.exp(-beta * ln_n),
+        math.exp((gamma - 1.0) * ln_n), alpha, beta, gamma,
     )
+    if enforce_alpha_lt_beta and not params.q < params.p:
+        raise InvalidArgumentError("q < p violated")
+    return params
 
 
-def check_exponent_domain(alpha: float, beta: float, gamma: float, r: int) -> None:
+def check_exponent_domain(
+    alpha: float, beta: float, gamma: float, r: int, ordered: bool = True
+) -> None:
     """Raise InvalidArgumentError unless r >= 2, 0 < alpha < beta < r - 1 and
-    0 < gamma < 1 (so a nan exponent is rejected)."""
+    0 < gamma < 1 (so a nan exponent is rejected). ordered=False keeps
+    alpha > 0 and 0 < beta < r - 1 but drops alpha < beta."""
     if r < 2:
         raise InvalidArgumentError("r >= 2 violated")
-    if not 0 < alpha < beta < r - 1:
+    if ordered and not 0 < alpha < beta < r - 1:
         raise InvalidArgumentError("0 < alpha < beta < r - 1 violated")
+    if not (alpha > 0 and 0 < beta < r - 1):
+        raise InvalidArgumentError("alpha > 0 and 0 < beta < r - 1 violated")
     if not 0 < gamma < 1:
         raise InvalidArgumentError("0 < gamma < 1 violated")
 
@@ -239,17 +221,15 @@ def validate_aux_feasible(params: ProblemParams, spike: float) -> None:
 
 
 def sample_aux(
-    params: ProblemParams,
-    seed: int,
-    spike: Optional[float] = None,
-    key: Sequence[int] = (),
+    params: ProblemParams, seed: int, key: Sequence[int] = ()
 ) -> Tuple[AuxPlantedParams, Hypergraph]:
     """One draw of the auxiliary distribution (r = 2).
 
     Edge (i, j) is present with probability q + sigma*lambda*u_i*u_j, where u
-    is built from the same Ber(rho) memberships as the planted model.
+    is built from the same Ber(rho) memberships as the planted model and
+    lambda is exact_spike.
     """
-    lam = exact_spike(params) if spike is None else float(spike)
+    lam = exact_spike(params)
     validate_aux_feasible(params, lam)
     n, rho, q, sigma = params.n, params.rho, params.q, params.sigma
     rng = child_rng(seed, *key)
@@ -278,13 +258,10 @@ class AuxBoundResult:
 
 
 def aux_ldlr_upper_bound(
-    params: ProblemParams,
-    D: int,
-    trials: int,
-    seed: int,
-    spike: Optional[float] = None,
+    params: ProblemParams, D: int, trials: int, seed: int
 ) -> AuxBoundResult:
-    """Monte Carlo evaluation of sum_{d<=D} lambda^{2d}/d! * E<u,v>^{2d}.
+    """Monte Carlo evaluation of sum_{d<=D} lambda^{2d}/d! * E<u,v>^{2d},
+    lambda = exact_spike.
 
     u and v are independent copies of the membership vector. The inner product
     only depends on the multinomial counts of the four joint membership
@@ -296,7 +273,7 @@ def aux_ldlr_upper_bound(
         raise InvalidArgumentError("trials >= 1 required")
     if D < 0:
         raise InvalidArgumentError("D >= 0 required")
-    lam = exact_spike(params) if spike is None else float(spike)
+    lam = exact_spike(params)
     rho = params.rho
     a = math.sqrt((1.0 - rho) / rho)
     b = -math.sqrt(rho / (1.0 - rho))

@@ -1,11 +1,16 @@
 import json
+import math
 import os
 import subprocess
 import sys
 
 import pytest
 
+from denselab.balanced import find_balanced_motif
 from denselab.cli import main
+from denselab.errors import InvalidArgumentError
+from denselab.models import derive_params
+from denselab.stats import classify_regime
 
 BASE = ["--n", "16", "--r", "2", "--alpha", "0.25", "--beta", "0.5", "--gamma", "0.5"]
 
@@ -367,3 +372,27 @@ def test_conditional_budget_names_supported_pairs(capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "n <= 4 at r = 2 and n <= 4 at r = 3; got n = 4, r = 4" in err
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, gamma",
+    [(0.0, 0.5, 0.45), (0.5, 0.5, 0.45), (0.3, 1.0, 0.45), (0.3, 0.5, 1.0),
+     (math.nan, 0.5, 0.45)],
+    ids=["alpha=0", "alpha=beta", "beta=r-1", "gamma=1", "nan"],
+)
+def test_exponent_violation_has_one_message_everywhere(alpha, beta, gamma, capsys):
+    messages = set()
+    for check in (lambda: derive_params(8, 2, alpha, beta, gamma),
+                  lambda: classify_regime(alpha, beta, gamma, 2),
+                  lambda: find_balanced_motif(alpha, beta, gamma, 2)):
+        with pytest.raises(InvalidArgumentError) as exc:
+            check()
+        messages.add(f"error: {exc.value}")
+    exponents = ["--alpha", str(alpha), "--beta", str(beta), "--gamma", str(gamma), "--r", "2"]
+    for argv in (["sample", "--n", "8", "--seed", "1"],
+                 ["test", "--n", "8", "--seed", "1", "--trials", "3"],
+                 ["ldlr", "--n", "8", "--degree", "2"],
+                 ["find-balanced"]):
+        assert main(argv + exponents) == 2
+        messages.add(capsys.readouterr().err.strip())
+    assert len(messages) == 1, messages

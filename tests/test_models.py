@@ -47,6 +47,8 @@ def test_param_constraints():
     # relaxed mode admits alpha >= beta (used by the auxiliary model)
     pp = derive_params(16, 2, 0.8, 0.5, 0.75, enforce_alpha_lt_beta=False)
     assert pp.p < pp.q
+    with pytest.raises(InvalidArgumentError, match="alpha > 0"):
+        derive_params(16, 2, 0.0, 0.5, 0.75, enforce_alpha_lt_beta=False)
 
 
 def test_explicit_hook():

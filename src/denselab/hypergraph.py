@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+import re
 import types
 from dataclasses import dataclass
 from math import comb
@@ -106,6 +107,12 @@ def binomial_table(n: int, r: int) -> np.ndarray:
     return table
 
 
+def _invalid_rows(E: np.ndarray, n: int) -> np.ndarray:
+    """Mask of the rows of a (K, r) int64 array that are not strictly
+    increasing within [1, n]."""
+    return (E[:, 0] < 1) | (E[:, -1] > n) | (np.diff(E, axis=1) <= 0).any(axis=1)
+
+
 def rank_edges(E: np.ndarray, n: int, r: int) -> np.ndarray:
     """Ranks of the rows of a (K, r) array of canonical edges, as int64.
 
@@ -117,7 +124,7 @@ def rank_edges(E: np.ndarray, n: int, r: int) -> np.ndarray:
     E = np.asarray(E, dtype=np.int64)
     if E.ndim != 2 or E.shape[1] != r:
         raise InvalidArgumentError(f"expected a (K, {r}) edge array, got shape {E.shape}")
-    bad = (E[:, 0] < 1) | (E[:, -1] > n) | (np.diff(E, axis=1) <= 0).any(axis=1)
+    bad = _invalid_rows(E, n)
     if bad.any():
         row = tuple(E[np.flatnonzero(bad)[0]].tolist())
         raise InvalidArgumentError(
@@ -153,12 +160,29 @@ def unrank_edges(idx: np.ndarray, n: int, r: int) -> np.ndarray:
 
 
 def within_ranks(Z: Iterable[int], n: int, r: int) -> np.ndarray:
-    """Ascending int64 ranks of all r-subsets of the vertex set Z."""
+    """Ascending int64 ranks of all r-subsets of the vertex set Z.
+
+    The subsets are built in lexicographic order one column at a time, as
+    indices into sorted Z: a prefix whose last index is a has the children
+    a + 1, ..., |Z| - r + i in column i, and each child subtracts
+    C(n - z, r - i) from C(n, r) - 1, as in rank_edges.
+    """
+    table = binomial_table(n, r)
     zs = sorted(Z)
-    k = comb(len(zs), r)
-    flat = itertools.chain.from_iterable(itertools.combinations(zs, r))
-    E = np.fromiter(flat, dtype=np.int64, count=k * r).reshape(k, r)
-    return rank_edges(E, n, r)
+    if zs and (zs[0] < 1 or zs[-1] > n or len(set(zs)) < len(zs)):
+        raise InvalidArgumentError(f"vertex set is not distinct vertices within [1, {n}]")
+    k = len(zs)
+    if k < r:
+        return np.empty(0, dtype=np.int64)
+    terms = table[n - np.array(zs, dtype=np.int64)]  # terms[j, c] = C(n - z_j, c)
+    last = np.arange(k - r + 1)  # column 0: the index of each prefix's last vertex
+    ranks = table[n, r] - 1 - terms[last, r]
+    for i in range(1, r):
+        counts = (k - r + i) - last
+        ends = np.cumsum(counts)
+        last = np.arange(ends[-1]) + np.repeat(last + 1 + counts - ends, counts)
+        ranks = np.repeat(ranks, counts) - terms[last, r - i]
+    return ranks
 
 
 def all_edges(n: int, r: int) -> Iterator[Edge]:
@@ -431,45 +455,141 @@ def count_embeddings(pattern: Hypergraph, host: Hypergraph) -> int:
 # are ignored on input; comments may be emitted before the edge list. The
 # parser rejects non-integer tokens and repeated edge lines, naming the line.
 
+TEXT_CHUNK_CHARS = 1 << 13
+# the line boundaries of str.splitlines(), compiled on first use (re caches it)
+_LINE_BREAK = "\r\n|[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]"
+
 
 def write_hypergraph_text(hg: Hypergraph, comments: Optional[Sequence[str]] = None) -> str:
-    lines = [f"{hg.n} {hg.r}"]
-    for c in comments or []:
-        lines.append(f"# {c}")
-    lines.extend(" ".join(map(str, e)) for e in hg.sorted_edges())
-    return "\n".join(lines) + "\n"
+    head = [f"{hg.n} {hg.r}"] + [f"# {c}" for c in comments or []]
+    E = unrank_edges(hg.ranks, hg.n, hg.r)
+    row = " ".join(["%d"] * hg.r) + "\n"
+    return "\n".join(head) + "\n" + (row * len(E)) % tuple(E.ravel().tolist())
+
+
+def _line_spans(text: str) -> Iterator[str]:
+    """The text in consecutive pieces of about TEXT_CHUNK_CHARS characters,
+    each ending just after a line break, so that their splitlines() are
+    those of the whole text."""
+    line_break = re.compile(_LINE_BREAK)
+    start = 0
+    while start < len(text):
+        brk = line_break.search(text, start + TEXT_CHUNK_CHARS)
+        end = brk.end() if brk else len(text)
+        yield text[start:end]
+        start = end
+
+
+def _line(text: str, lineno: int) -> str:
+    """Line `lineno` (from 1) of the text, as splitlines() splits it."""
+    for span in _line_spans(text):
+        lines = span.splitlines()
+        if lineno <= len(lines):
+            return lines[lineno - 1]
+        lineno -= len(lines)
+    raise IndexError(lineno)
+
+
+def _ints(tokens: Sequence[str]) -> Optional[Tuple[int, ...]]:
+    try:
+        return tuple(map(int, tokens))
+    except ValueError:
+        return None
 
 
 def parse_hypergraph_text(text: str) -> Tuple[Hypergraph, List[str]]:
-    """Parse the text format; returns the hypergraph and the comment lines."""
+    """Parse the text format; returns the hypergraph and the comment lines.
+
+    The lines are read in spans of about TEXT_CHUNK_CHARS characters; the
+    edge lines of a span become one int64 block, ranked by rank_edges, and
+    repeats are found on the ranks. A non-integer token, a bad header line or
+    a repeated edge raises at the first such line, naming it. Edge lines that
+    cannot be ranked (wrong length, a vertex outside [1, n], not increasing,
+    or any line under a header binomial_table rejects) are kept as vertex
+    tuples; once the text is read, Hypergraph(n, r, those) raises its error
+    for the first of them.
+    """
     comments: List[str] = []
     header: Optional[Tuple[int, ...]] = None
-    edges: Dict[Edge, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            comments.append(line[1:].strip())
-            continue
+    rankable = False
+    rank_blocks: List[np.ndarray] = []
+    rank_lines: List[np.ndarray] = []
+    unranked: Dict[Edge, int] = {}  # vertex tuple -> line number
+    fault: Optional[Tuple[int, str]] = None  # (line number, message) of the first bad line
+    base = 0  # lines before this span
+    for span in _line_spans(text):
+        lines = span.splitlines()
+        toks = list(map(str.split, lines))
+        if header is None or "#" in span:
+            for i, line_toks in enumerate(toks):  # clear comment and header tokens
+                if not line_toks:
+                    continue
+                if line_toks[0].startswith("#"):
+                    comments.append(lines[i].strip()[1:].strip())
+                elif header is None:
+                    header = _ints(line_toks)
+                    if header is None or len(header) != 2:
+                        what = "bad header line:" if header else "non-integer header token in"
+                        fault = (base + i + 1, f"{what} {lines[i]!r}")
+                        break
+                    n, r = header
+                    try:
+                        binomial_table(n, r)
+                        rankable = True
+                    except (InvalidArgumentError, BudgetExceededError):
+                        pass  # raised again by Hypergraph below
+                else:
+                    continue
+                toks[i] = []
+            if fault:
+                break
+        counts = np.fromiter(map(len, toks), dtype=np.int64, count=len(toks))
+        rows = np.flatnonzero(counts)  # the edge lines of the span
         try:
-            values = tuple(int(v) for v in line.split())
+            vals = list(map(int, itertools.chain.from_iterable(toks)))
         except ValueError:
-            what = "header" if header is None else "vertex"
-            raise InvalidArgumentError(
-                f"line {lineno}: non-integer {what} token in {raw!r}"
-            ) from None
-        if header is None:
-            if len(values) != 2:
-                raise InvalidArgumentError(f"line {lineno}: bad header line: {raw!r}")
-            header = values
-        elif values in edges:
-            raise InvalidArgumentError(
-                f"line {lineno}: duplicate of the edge on line {edges[values]}: {raw!r}"
-            )
-        else:
-            edges[values] = lineno
+            cut = next(i for i in rows if _ints(toks[i]) is None)
+            fault = (base + cut + 1, f"non-integer vertex token in {lines[cut]!r}")
+            rows = rows[rows < cut]
+            vals = list(map(int, itertools.chain.from_iterable(toks[:cut])))
+        ranked = np.zeros(rows.size, dtype=bool)
+        if rankable:
+            right = counts[rows] == r
+            try:
+                E = np.array(vals, dtype=np.int64)
+            except OverflowError:  # a vertex past int64: 0 keeps its row rejected
+                E = np.array([v if 0 < v <= n else 0 for v in vals], dtype=np.int64)
+            E = (E if right.all() else E[np.repeat(right, counts[rows])]).reshape(-1, r)
+            ok = ~_invalid_rows(E, n)
+            ranked[right] = ok
+            rank_blocks.append(rank_edges(E[ok], n, r))
+            rank_lines.append(base + 1 + rows[ranked])
+        for i in rows[~ranked]:
+            row = tuple(map(int, toks[i]))
+            if row in unranked:  # these rows precede the span's non-integer line, if any
+                fault = (base + i + 1, f"duplicate of the edge on line {unranked[row]}: {lines[i]!r}")
+                break
+            unranked[row] = base + i + 1
+        if fault:
+            break
+        base += len(lines)
+    ranks = np.concatenate(rank_blocks) if rank_blocks else np.empty(0, dtype=np.int64)
+    if (ranks[1:] <= ranks[:-1]).any():  # not in rank order: sort, and look for repeats
+        order = np.argsort(ranks, kind="stable")
+        ranks = ranks[order]
+        rep = np.flatnonzero(ranks[1:] == ranks[:-1])
+        if rep.size:
+            at = np.concatenate(rank_lines)
+            later, first = at[order[rep + 1]], at[order[rep]]
+            j = int(np.argmin(later))
+            if fault is None or later[j] < fault[0]:
+                lineno = int(later[j])
+                fault = (lineno, f"duplicate of the edge on line {first[j]}: {_line(text, lineno)!r}")
+    if fault:
+        raise InvalidArgumentError(f"line {fault[0]}: {fault[1]}")
     if header is None:
         raise InvalidArgumentError("missing header line")
     n, r = header
-    return Hypergraph(n, r, edges), comments
+    if unranked or not rankable:
+        Hypergraph(n, r, unranked)  # rejects every one of them, so raises for the first
+    return Hypergraph.from_ranks(n, r, ranks), comments

@@ -21,6 +21,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import mpmath
 import numpy as np
+from mpmath import libmp
 
 from . import jsonout
 from .errors import BudgetExceededError, InvalidArgumentError
@@ -80,12 +81,16 @@ class LdlrClassTerm:
 
 
 def _class_term(ell: int, m: int, class_count: int, exact) -> LdlrClassTerm:
-    """The class term from its exact value (mpf or Fraction); its log10 comes
-    from the exact value where the float is 0, subnormal or inf."""
-    term = float(exact)
+    """The class term from its exact value, a Fraction or a raw mpf tuple (at
+    the working precision); its log10 comes from the exact value where the
+    float is 0, subnormal or inf."""
+    raw = not isinstance(exact, Fraction)
+    term = libmp.to_float(exact, rnd=libmp.round_nearest) if raw else float(exact)
     if sys.float_info.min <= term < math.inf:
         return LdlrClassTerm(ell, m, class_count, term, math.log10(term))
-    if isinstance(exact, Fraction):
+    if raw:
+        exact = mpmath.mp.make_mpf(exact)
+    else:
         exact = mpmath.mpf(exact.numerator) / exact.denominator
     return LdlrClassTerm(ell, m, class_count, term, float(mpmath.log10(exact)))
 
@@ -155,28 +160,35 @@ def ldlr_norm_exact(params: ProblemParams, D: int) -> LdlrResult:
     `class_table(r, D)` entry, which is built once per (r, D), rejects D < 0
     and raises BudgetExceededError past LDLR_CLASS_BUDGET classes; terms are
     accumulated at 40 decimal digits so classes spanning hundreds of orders
-    of magnitude sum stably. Cost is polynomial in D and independent of M.
+    of magnitude sum stably. Each term is formed on raw mpf tuples with
+    mpmath.libmp (count, times rho^{2ell}, times w2^m, then added to the
+    total), rounding to nearest at the working precision: the operations the
+    mpf operators apply, without building an mpf object per class. Cost is
+    polynomial in D and independent of M.
     """
     n = params.n
     table = class_table(params.r, D)
     terms: List[LdlrClassTerm] = []
     with mpmath.workdps(LDLR_DPS):
+        prec, rnd = mpmath.mp.prec, libmp.round_nearest
         rho = mpmath.mpf(params.rho)
         w2 = (mpmath.mpf(params.p) - mpmath.mpf(params.q)) ** 2 / (
             mpmath.mpf(params.q) * (1 - mpmath.mpf(params.q))
         )
-        w2_pow = [w2 ** m for m in range(D + 1)]
-        total = mpmath.mpf(0)
+        w2_pow = [(w2 ** m)._mpf_ for m in range(D + 1)]
+        total = libmp.fzero
         ell_done = None
         for (ell, m), free in table.items():  # ascending ell, then m
             if ell != ell_done:
                 if ell > n:
                     break
-                n_sets, rho_pow, ell_done = comb(n, ell), rho ** (2 * ell), ell
+                n_sets, rho_pow, ell_done = comb(n, ell), (rho ** (2 * ell))._mpf_, ell
             cnt = n_sets * free  # |S_{ell,m}|, as count_subgraph_class
-            term = mpmath.mpf(cnt) * rho_pow * w2_pow[m]
-            total += term
+            term = libmp.from_int(cnt, prec, rnd)
+            term = libmp.mpf_mul(libmp.mpf_mul(term, rho_pow, prec, rnd), w2_pow[m], prec, rnd)
+            total = libmp.mpf_add(total, term, prec, rnd)
             terms.append(_class_term(ell, m, cnt, term))
+        total = mpmath.mp.make_mpf(total)
         return LdlrResult(
             value=float(1 + total),
             value_minus_one=float(total),

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -7,7 +8,7 @@ import sys
 import pytest
 
 from denselab.balanced import find_balanced_motif
-from denselab.cli import main
+from denselab.cli import build_parser, main
 from denselab.errors import InvalidArgumentError
 from denselab.models import derive_params
 from denselab.stats import classify_regime
@@ -396,3 +397,62 @@ def test_exponent_violation_has_one_message_everywhere(alpha, beta, gamma, capsy
         assert main(argv + exponents) == 2
         messages.add(capsys.readouterr().err.strip())
     assert len(messages) == 1, messages
+
+
+LDLR_EXP = ["--r", "2", "--alpha", "0.48", "--beta", "0.5", "--gamma", "0.6"]
+# sha256 prefixes of stdout, computed before the parser was reused across calls,
+# the exact LDLR sum moved to raw mpf tuples and the text format to numpy
+STDOUT_SHA256 = [
+    (["ldlr", "--mode", "exact", "--degree", "10", "--n", "1000", *LDLR_EXP], "9a8eaeb1ab6e4637"),
+    (["ldlr", "--mode", "exact", "--degree", "10", "--n", "1000", *LDLR_EXP, "--format", "csv"],
+     "63892dfe48480fc8"),
+    (["ldlr", "--mode", "exact", "--degree", "10", "--n", "1000000", *LDLR_EXP],
+     "fb2e9c32575cc457"),
+    (["ldlr", "--mode", "exact", "--degree", "10", "--n", "1000000", *LDLR_EXP,
+      "--format", "csv"], "95a552d9a60fa006"),
+    (["ldlr", "--mode", "exact", "--degree", "10", "--n", str(10 ** 200), *LDLR_EXP],
+     "7af345f730028885"),
+    (["ldlr", "--mode", "exact", "--degree", "10", "--n", str(10 ** 200), *LDLR_EXP,
+      "--format", "csv"], "61dbe7d1e130ee67"),
+    (["ldlr", "--mode", "exact", "--degree", "30", "--n", "10000", "--r", "3",
+      "--alpha", "0.4", "--beta", "1.2", "--gamma", "0.6"], "728b08907d37c5be"),
+    (["phase-diagram", "--r", "2", "--beta", "0.5", "--alpha-grid", "0.2,0.3,0.4,0.45,0.48",
+      "--gamma-grid", "0.5,0.55,0.6,0.65,0.7", "--n-grid", "1000,10000,100000,1000000",
+      "--degree", "10"], "f2c5dea416fb1453"),
+    (["sample", "--model", "planted", "--seed", "321", "--n", "1000", "--r", "2",
+      "--alpha", "0.3", "--beta", "0.5", "--gamma", "0.75"], "a2b8ab2b9891e0e2"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", STDOUT_SHA256, ids=lambda v: v if isinstance(v, str) else None)
+def test_stdout_bytes_are_pinned(argv, digest, capsys):
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16] == digest
+
+
+def test_reused_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    config = tmp_path / "c.cfg"
+    config.write_text("model=planted\n")
+    sample = ["sample", "--seed", "3"] + BASE
+    code, planted = run_cli(sample + ["--config", str(config)], tmp_path, "a.txt")
+    assert code == 0 and "# Z:" in planted
+    code, null = run_cli(sample, tmp_path, "b.txt")  # the config's model does not carry over
+    assert code == 0 and "# Z:" not in null
+    with pytest.raises(SystemExit) as exc:
+        main(["ldlr", "--degree", "x"] + BASE)
+    assert exc.value.code == 2
+    assert main(["ldlr", "--degree", "2"] + BASE) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", [[], ["sample"], ["test"], ["ldlr"], ["phase-diagram"],
+                                     ["find-balanced"]])
+def test_help_matches_a_freshly_built_parser(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "100")
+    outputs = []
+    for parse in (main, build_parser().parse_args, main):
+        with pytest.raises(SystemExit) as exc:
+            parse(command + ["--help"])
+        assert exc.value.code == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == outputs[2] and "usage: denselab" in outputs[0]

@@ -1,12 +1,14 @@
 import itertools
 import pickle
 from math import comb
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from denselab import hypergraph
 from denselab.errors import BudgetExceededError, InvalidArgumentError
 from denselab.hypergraph import (
     Hypergraph,
@@ -236,3 +238,144 @@ def test_text_format_rejects_garbage():
     for text, where in bad_inputs:
         with pytest.raises(InvalidArgumentError, match=where):
             parse_hypergraph_text(text)
+
+
+def _within_ranks_by_combinations(Z, n, r):
+    """within_ranks as it was built before the index arithmetic: every
+    r-subset through itertools.combinations, ranked by rank_edges."""
+    zs = sorted(Z)
+    k = comb(len(zs), r)
+    flat = itertools.chain.from_iterable(itertools.combinations(zs, r))
+    return rank_edges(np.fromiter(flat, dtype=np.int64, count=k * r).reshape(k, r), n, r)
+
+
+@given(st.integers(2, 5), st.data())
+@settings(max_examples=150, deadline=None)
+def test_within_ranks_matches_combinations(r, data):
+    n = data.draw(st.integers(r, 40))
+    Z = data.draw(st.sets(st.integers(1, n), max_size=min(n, 16)))
+    got = within_ranks(Z, n, r)
+    want = _within_ranks_by_combinations(Z, n, r)
+    assert got.dtype == np.int64 and got.tolist() == want.tolist()
+
+
+def test_within_ranks_empty_and_short_sets():
+    for r in range(2, 6):
+        assert within_ranks(set(), 9, r).shape == (0,)
+        assert within_ranks(set(range(1, r)), 9, r).shape == (0,)
+        assert within_ranks(set(range(1, r + 1)), 9, r).tolist() == [0]
+    with pytest.raises(InvalidArgumentError):
+        within_ranks({0, 1, 2}, 5, 2)
+
+
+def _parse_by_line(text):
+    """The text parser as it was before it read the text in spans: one line
+    at a time, every edge line kept as a vertex tuple."""
+    comments = []
+    header = None
+    edges = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            comments.append(line[1:].strip())
+            continue
+        try:
+            values = tuple(int(v) for v in line.split())
+        except ValueError:
+            what = "header" if header is None else "vertex"
+            raise InvalidArgumentError(
+                f"line {lineno}: non-integer {what} token in {raw!r}"
+            ) from None
+        if header is None:
+            if len(values) != 2:
+                raise InvalidArgumentError(f"line {lineno}: bad header line: {raw!r}")
+            header = values
+        elif values in edges:
+            raise InvalidArgumentError(
+                f"line {lineno}: duplicate of the edge on line {edges[values]}: {raw!r}"
+            )
+        else:
+            edges[values] = lineno
+    if header is None:
+        raise InvalidArgumentError("missing header line")
+    n, r = header
+    return Hypergraph(n, r, edges), comments
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except (InvalidArgumentError, BudgetExceededError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_parses_like_by_line(text, chunks=(8, 64, None)):
+    """parse_hypergraph_text gives the per-line parser's hypergraph and
+    comments, or its exception type and message, at every span length."""
+    want = _outcome(_parse_by_line, text)
+    for chunk in chunks:
+        with mock.patch.object(hypergraph, "TEXT_CHUNK_CHARS", chunk or hypergraph.TEXT_CHUNK_CHARS):
+            assert _outcome(parse_hypergraph_text, text) == want, chunk
+
+
+TEXT_HEADERS = ["6 2", "6 3", " 6\t2 ", "06 +2", "5", "5 2 1", "x 2", "5 2.0", "0 0", "1 2",
+                "-3 2", "2000000 2", "4000000 3", "", "# no header"]
+TEXT_JUNK = ["", "   ", "\t", "# Z: 1 2", "  #indented", "#", "0 1", "1 7", "-1 2", "2 1",
+             "1 1", "1 x", "1.5 2", "1 2 3 4", "1", "1 #2", "١ 2", "1_0 2", "01  2", "1 99999999999999999999"]
+TEXT_BREAKS = ["\n", "\r\n", "\r", "\x0c", "\x0b", "\x1c", "\x85", " "]
+
+
+@st.composite
+def edge_list_texts(draw):
+    """A header (good or bad), then edges of K_6^r in rank order, spelled
+    with varied whitespace and leading zeros, with repeats and junk lines
+    (comments, blanks, bad tokens, wrong lengths, out-of-range and unsorted
+    edges) inserted anywhere, joined by any mix of line breaks."""
+    r = draw(st.sampled_from([2, 3]))
+    edges = draw(st.lists(st.sampled_from(list(all_edges(6, r))), max_size=40, unique=True))
+    spell = st.sampled_from(["{}", "0{}", "+{}", " {} "])
+    lines = [draw(st.sampled_from(TEXT_HEADERS[:2]) | st.sampled_from(TEXT_HEADERS))]
+    lines += [" ".join(draw(spell).format(v) for v in e) for e in sorted(edges)]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(1, len(lines)))
+        lines.insert(at, draw(st.sampled_from(TEXT_JUNK) | st.sampled_from(lines[1:] or [""])))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(TEXT_JUNK[:6])))
+    breaks = draw(st.lists(st.sampled_from(TEXT_BREAKS), min_size=len(lines), max_size=len(lines)))
+    if not draw(st.booleans()):
+        breaks[-1] = ""
+    return "".join(line + brk for line, brk in zip(lines, breaks))
+
+
+@given(edge_list_texts())
+@settings(max_examples=400, deadline=None)
+def test_parser_matches_per_line_parser(text):
+    assert_parses_like_by_line(text)
+
+
+@pytest.mark.parametrize("fault", [None, "repeat", "unsorted", "wrong-length", "token", "range"])
+def test_parser_matches_per_line_parser_on_long_files(fault):
+    hg = Hypergraph(300, 2, itertools.islice(all_edges(300, 2), 0, None, 3))
+    lines = write_hypergraph_text(hg, comments=["Z: 1 2"]).splitlines()
+    assert len("\n".join(lines)) > 4 * hypergraph.TEXT_CHUNK_CHARS
+    late = len(lines) - 5
+    if fault == "repeat":  # the same edge, spelled otherwise, many spans later
+        lines.insert(late, "0" + lines[3].replace(" ", "  "))
+    elif fault == "unsorted":  # out of rank order, which is no fault, twice
+        lines[3], lines[late] = lines[late], lines[3]
+        lines.insert(late, lines[1200])
+    elif fault == "wrong-length":
+        lines.insert(2000, "1 2 3")
+        lines.insert(late, "1 2 x")
+    elif fault == "token":
+        lines.insert(late, "1 2 x")
+        lines.insert(late + 1, lines[10])
+    elif fault == "range":
+        lines.insert(late, "300 301")
+        lines.insert(1500, "7 3")
+    text = "\r\n".join(lines)
+    assert_parses_like_by_line(text, chunks=(None, 1000))
+    if fault is None:
+        assert parse_hypergraph_text(text) == (hg, ["Z: 1 2"])

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -9,12 +10,15 @@ from denselab.errors import BudgetExceededError, InvalidArgumentError
 from denselab.hypergraph import (
     Hypergraph,
     all_edges,
+    class_table,
     count_isolated_free_edge_sets,
     count_subgraph_class,
     induced_vertices,
 )
 from denselab.ldlr import (
     LDLR_DPS,
+    LdlrClassTerm,
+    LdlrResult,
     _class_term,
     build_conditioning_spec,
     conditional_ldlr_exact_tiny,
@@ -134,7 +138,7 @@ def _ldlr_exact_oracle(params, D):
                     continue
                 term = mpmath.mpf(cnt) * rho ** (2 * ell) * w2 ** m
                 total += term
-                terms.append(_class_term(ell, m, cnt, term))
+                terms.append(_class_term(ell, m, cnt, term._mpf_))
         return float(1 + total), float(total), tuple(terms)
 
 
@@ -316,3 +320,59 @@ def test_conditioning_requires_positive_delta():
     pp = derive_params(4, 2, 0.45, 0.6, 0.3)
     with pytest.raises(InvalidArgumentError):
         build_conditioning_spec(pp, 0.0, 3)
+
+
+def _ldlr_exact_mpf_loop(params, D):
+    """ldlr_norm_exact as it summed the classes before it moved to raw libmp
+    tuples: one mpf object per count, product and running total, and the
+    float-or-exact log10 rule applied to the mpf term."""
+    n = params.n
+    terms = []
+    with mpmath.workdps(LDLR_DPS):
+        rho = mpmath.mpf(params.rho)
+        w2 = (mpmath.mpf(params.p) - mpmath.mpf(params.q)) ** 2 / (
+            mpmath.mpf(params.q) * (1 - mpmath.mpf(params.q))
+        )
+        w2_pow = [w2 ** m for m in range(D + 1)]
+        total = mpmath.mpf(0)
+        ell_done = None
+        for (ell, m), free in class_table(params.r, D).items():
+            if ell != ell_done:
+                if ell > n:
+                    break
+                n_sets, rho_pow, ell_done = math.comb(n, ell), rho ** (2 * ell), ell
+            cnt = n_sets * free
+            term = mpmath.mpf(cnt) * rho_pow * w2_pow[m]
+            total += term
+            value = float(term)
+            if sys.float_info.min <= value < math.inf:
+                log10 = math.log10(value)
+            else:
+                log10 = float(mpmath.log10(term))
+            terms.append(LdlrClassTerm(ell, m, cnt, value, log10))
+        return LdlrResult(float(1 + total), float(total), tuple(terms), "exact-formula")
+
+
+# (r, exponent sets, n values, degrees): n < rD, D = 0, subnormal and
+# underflowing terms at n = 1e200, r = 3 at D = 30 and r = 4 at D = 12
+LDLR_MPF_GRID = [
+    (2, [(0.48, 0.5, 0.6), (0.42, 0.5, 0.6), (0.3, 0.9, 0.25), (0.2, 0.5, 0.45)],
+     [4, 7, 1000, 10 ** 6, 10 ** 12, 10 ** 40, 10 ** 200], [0, 1, 3, 10]),
+    (2, [(0.48, 0.5, 0.6)], [2000, 10 ** 9], [40]),
+    (3, [(0.4, 1.2, 0.6), (0.2, 1.5, 0.45)], [5, 400, 10 ** 4, 10 ** 30], [0, 4, 30]),
+    (4, [(0.2, 1.5, 0.7), (0.5, 2.5, 0.3)], [6, 10 ** 6, 10 ** 100], [3, 12]),
+    (5, [(0.3, 2.0, 0.5)], [7, 10 ** 8], [5]),
+]
+
+
+def test_ldlr_exact_matches_mpf_object_loop():
+    cases = [(n, r, a, b, g, D) for r, exps, ns, Ds in LDLR_MPF_GRID
+             for a, b, g in exps for n in ns for D in Ds]
+    assert len(cases) == 152
+    for n, r, a, b, g, D in cases:
+        pp = derive_params(n, r, a, b, g)
+        res, want = ldlr_norm_exact(pp, D), _ldlr_exact_mpf_loop(pp, D)
+        assert res == want, (n, r, a, b, g, D)
+        assert res.to_csv() == want.to_csv()
+        if n < 10 ** 100:  # past that the JSON class counts exceed 4300 digits
+            assert res.to_json() == want.to_json()

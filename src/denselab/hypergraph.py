@@ -9,6 +9,9 @@ sorted vertex tuple, giving a fixed bijection onto [0, C(n, r)).
 ranks in int64, so they need C(n, r) < 2^63. `Hypergraph`, the one edge-set
 type, stores its edges as such ranks. `vertex_subset_densities` is the one
 exhaustive search over vertex subsets, bounded by SUBSET_BUDGET.
+`parse_hypergraph_text` reads the text format with a span reader that takes
+only well-formed text and, at any fault, a per-line reader that names the
+first bad line.
 """
 
 from __future__ import annotations
@@ -107,12 +110,6 @@ def binomial_table(n: int, r: int) -> np.ndarray:
     return table
 
 
-def _invalid_rows(E: np.ndarray, n: int) -> np.ndarray:
-    """Mask of the rows of a (K, r) int64 array that are not strictly
-    increasing within [1, n]."""
-    return (E[:, 0] < 1) | (E[:, -1] > n) | (np.diff(E, axis=1) <= 0).any(axis=1)
-
-
 def rank_edges(E: np.ndarray, n: int, r: int) -> np.ndarray:
     """Ranks of the rows of a (K, r) array of canonical edges, as int64.
 
@@ -124,7 +121,8 @@ def rank_edges(E: np.ndarray, n: int, r: int) -> np.ndarray:
     E = np.asarray(E, dtype=np.int64)
     if E.ndim != 2 or E.shape[1] != r:
         raise InvalidArgumentError(f"expected a (K, {r}) edge array, got shape {E.shape}")
-    bad = _invalid_rows(E, n)
+    # a vertex out of range flags its row by itself, since its differences may overflow
+    bad = ((E < 1) | (E > n)).any(axis=1) | (np.diff(E, axis=1) <= 0).any(axis=1)
     if bad.any():
         row = tuple(E[np.flatnonzero(bad)[0]].tolist())
         raise InvalidArgumentError(
@@ -319,6 +317,10 @@ class Hypergraph:
         bad = next((e for e in rows if len(e) != r), None)
         if bad is not None:
             raise InvalidArgumentError(f"edge {bad} does not have {r} vertices")
+        for e in rows:  # np.array would truncate a float, overflow on a big int, take True as 1
+            if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                       and -(2**63) <= v < 2**63 for v in e):
+                raise InvalidArgumentError(f"edge {e} has a vertex that is not an int64 integer")
         ranks = rank_edges(np.array(rows, dtype=np.int64).reshape(len(rows), r), n, r)
         # Edge lists usually arrive in rank order (text files, combinations): sort if not.
         self._init(n, r, np.sort(ranks) if (ranks[1:] < ranks[:-1]).any() else ranks)
@@ -453,7 +455,8 @@ def count_embeddings(pattern: Hypergraph, host: Hypergraph) -> int:
 # First line "n r"; then one edge per line as r space-separated 1-based vertex
 # ids in increasing order, lines sorted by rank. Blank lines and '#' comments
 # are ignored on input; comments may be emitted before the edge list. The
-# parser rejects non-integer tokens and repeated edge lines, naming the line.
+# parser rejects non-integer tokens and repeated edge lines, naming the line;
+# the per-line reader alone builds its error messages.
 
 TEXT_CHUNK_CHARS = 1 << 13
 # the line boundaries of str.splitlines(), compiled on first use (re caches it)
@@ -465,6 +468,18 @@ def write_hypergraph_text(hg: Hypergraph, comments: Optional[Sequence[str]] = No
     E = unrank_edges(hg.ranks, hg.n, hg.r)
     row = " ".join(["%d"] * hg.r) + "\n"
     return "\n".join(head) + "\n" + (row * len(E)) % tuple(E.ravel().tolist())
+
+
+def parse_hypergraph_text(text: str) -> Tuple[Hypergraph, List[str]]:
+    """Parse the text format; returns the hypergraph and the comment lines.
+
+    Every outcome is the per-line reader's: the span reader reaches it sooner
+    on well-formed text, and the per-line reader reads any other text again.
+    """
+    try:
+        return _read_spans(text)
+    except (ValueError, OverflowError, BudgetExceededError):
+        return _read_lines(text)
 
 
 def _line_spans(text: str) -> Iterator[str]:
@@ -480,43 +495,14 @@ def _line_spans(text: str) -> Iterator[str]:
         start = end
 
 
-def _line(text: str, lineno: int) -> str:
-    """Line `lineno` (from 1) of the text, as splitlines() splits it."""
-    for span in _line_spans(text):
-        lines = span.splitlines()
-        if lineno <= len(lines):
-            return lines[lineno - 1]
-        lineno -= len(lines)
-    raise IndexError(lineno)
-
-
-def _ints(tokens: Sequence[str]) -> Optional[Tuple[int, ...]]:
-    try:
-        return tuple(map(int, tokens))
-    except ValueError:
-        return None
-
-
-def parse_hypergraph_text(text: str) -> Tuple[Hypergraph, List[str]]:
-    """Parse the text format; returns the hypergraph and the comment lines.
-
-    The lines are read in spans of about TEXT_CHUNK_CHARS characters; the
-    edge lines of a span become one int64 block, ranked by rank_edges, and
-    repeats are found on the ranks. A non-integer token, a bad header line or
-    a repeated edge raises at the first such line, naming it. Edge lines that
-    cannot be ranked (wrong length, a vertex outside [1, n], not increasing,
-    or any line under a header binomial_table rejects) are kept as vertex
-    tuples; once the text is read, Hypergraph(n, r, those) raises its error
-    for the first of them.
-    """
+def _read_spans(text: str) -> Tuple[Hypergraph, List[str]]:
+    """Well-formed text only: the edge lines of each span become one int64
+    block, ranked by rank_edges; the ranks are sorted and checked for repeats
+    at the end. Any fault raises ValueError, OverflowError or
+    BudgetExceededError without naming it."""
     comments: List[str] = []
-    header: Optional[Tuple[int, ...]] = None
-    rankable = False
-    rank_blocks: List[np.ndarray] = []
-    rank_lines: List[np.ndarray] = []
-    unranked: Dict[Edge, int] = {}  # vertex tuple -> line number
-    fault: Optional[Tuple[int, str]] = None  # (line number, message) of the first bad line
-    base = 0  # lines before this span
+    header: Optional[Tuple[int, int]] = None
+    blocks: List[np.ndarray] = []
     for span in _line_spans(text):
         lines = span.splitlines()
         toks = list(map(str.split, lines))
@@ -527,69 +513,57 @@ def parse_hypergraph_text(text: str) -> Tuple[Hypergraph, List[str]]:
                 if line_toks[0].startswith("#"):
                     comments.append(lines[i].strip()[1:].strip())
                 elif header is None:
-                    header = _ints(line_toks)
-                    if header is None or len(header) != 2:
-                        what = "bad header line:" if header else "non-integer header token in"
-                        fault = (base + i + 1, f"{what} {lines[i]!r}")
-                        break
-                    n, r = header
-                    try:
-                        binomial_table(n, r)
-                        rankable = True
-                    except (InvalidArgumentError, BudgetExceededError):
-                        pass  # raised again by Hypergraph below
+                    n, r = header = tuple(map(int, line_toks))
+                    binomial_table(n, r)
                 else:
                     continue
                 toks[i] = []
-            if fault:
-                break
-        counts = np.fromiter(map(len, toks), dtype=np.int64, count=len(toks))
-        rows = np.flatnonzero(counts)  # the edge lines of the span
+        if header is None:
+            continue
+        if not set(map(len, toks)) <= {0, r}:
+            raise ValueError("an edge line without r tokens")
+        E = np.array(list(map(int, itertools.chain.from_iterable(toks))), dtype=np.int64)
+        blocks.append(rank_edges(E.reshape(-1, r), n, r))
+    if header is None:
+        raise ValueError("missing header line")
+    ranks = np.concatenate(blocks)
+    if (ranks[1:] < ranks[:-1]).any():
+        ranks = np.sort(ranks)
+    return Hypergraph.from_ranks(n, r, ranks), comments  # from_ranks rejects a repeat
+
+
+def _read_lines(text: str) -> Tuple[Hypergraph, List[str]]:
+    """One line at a time, every edge line kept as a vertex tuple: the first
+    non-integer token, bad header or repeated edge line raises, naming its
+    line, and then Hypergraph(n, r, edges) rejects any other bad edge."""
+    comments: List[str] = []
+    header: Optional[Tuple[int, ...]] = None
+    edges: Dict[Edge, int] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            comments.append(line[1:].strip())
+            continue
         try:
-            vals = list(map(int, itertools.chain.from_iterable(toks)))
+            values = tuple(int(v) for v in line.split())
         except ValueError:
-            cut = next(i for i in rows if _ints(toks[i]) is None)
-            fault = (base + cut + 1, f"non-integer vertex token in {lines[cut]!r}")
-            rows = rows[rows < cut]
-            vals = list(map(int, itertools.chain.from_iterable(toks[:cut])))
-        ranked = np.zeros(rows.size, dtype=bool)
-        if rankable:
-            right = counts[rows] == r
-            try:
-                E = np.array(vals, dtype=np.int64)
-            except OverflowError:  # a vertex past int64: 0 keeps its row rejected
-                E = np.array([v if 0 < v <= n else 0 for v in vals], dtype=np.int64)
-            E = (E if right.all() else E[np.repeat(right, counts[rows])]).reshape(-1, r)
-            ok = ~_invalid_rows(E, n)
-            ranked[right] = ok
-            rank_blocks.append(rank_edges(E[ok], n, r))
-            rank_lines.append(base + 1 + rows[ranked])
-        for i in rows[~ranked]:
-            row = tuple(map(int, toks[i]))
-            if row in unranked:  # these rows precede the span's non-integer line, if any
-                fault = (base + i + 1, f"duplicate of the edge on line {unranked[row]}: {lines[i]!r}")
-                break
-            unranked[row] = base + i + 1
-        if fault:
-            break
-        base += len(lines)
-    ranks = np.concatenate(rank_blocks) if rank_blocks else np.empty(0, dtype=np.int64)
-    if (ranks[1:] <= ranks[:-1]).any():  # not in rank order: sort, and look for repeats
-        order = np.argsort(ranks, kind="stable")
-        ranks = ranks[order]
-        rep = np.flatnonzero(ranks[1:] == ranks[:-1])
-        if rep.size:
-            at = np.concatenate(rank_lines)
-            later, first = at[order[rep + 1]], at[order[rep]]
-            j = int(np.argmin(later))
-            if fault is None or later[j] < fault[0]:
-                lineno = int(later[j])
-                fault = (lineno, f"duplicate of the edge on line {first[j]}: {_line(text, lineno)!r}")
-    if fault:
-        raise InvalidArgumentError(f"line {fault[0]}: {fault[1]}")
+            what = "header" if header is None else "vertex"
+            raise InvalidArgumentError(
+                f"line {lineno}: non-integer {what} token in {raw!r}"
+            ) from None
+        if header is None:
+            if len(values) != 2:
+                raise InvalidArgumentError(f"line {lineno}: bad header line: {raw!r}")
+            header = values
+        elif values in edges:
+            raise InvalidArgumentError(
+                f"line {lineno}: duplicate of the edge on line {edges[values]}: {raw!r}"
+            )
+        else:
+            edges[values] = lineno
     if header is None:
         raise InvalidArgumentError("missing header line")
     n, r = header
-    if unranked or not rankable:
-        Hypergraph(n, r, unranked)  # rejects every one of them, so raises for the first
-    return Hypergraph.from_ranks(n, r, ranks), comments
+    return Hypergraph(n, r, edges), comments

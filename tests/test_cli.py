@@ -276,12 +276,18 @@ COND = ["ldlr", "--mode", "conditional", "--degree", "3", "--n", "4", "--r", "2"
         ["find-balanced", "--alpha", "0", "--beta", "0.75", "--gamma", "0.48", "--r", "2"],
         ["find-balanced", "--alpha", "0.3", "--beta", "0.75", "--gamma", "0.48", "--r", "1"],
         ["find-balanced", "--alpha", "0.3", "--beta", "inf", "--gamma", "0.48", "--r", "2"],
+        ["test", "--input", "{big}", "--seed", "1"] + BASE,
+        ["test", "--stat", "motif", "--motif-file", "{bigmotif}", "--trials", "2",
+         "--seed", "1"] + BASE,
+        ["test", "--stat", "motif", "--motif-file", "{floatmotif}", "--trials", "2",
+         "--seed", "1"] + BASE,
     ],
     ids=["config-value", "config-missing", "input-missing", "input-directory",
          "input-binary", "motif-file-missing", "alpha-grid", "gamma-grid", "n-grid",
          "motif-file-not-json", "motif-file-no-key", "out-unwritable", "delta-nan",
          "delta-inf", "sample-seed-negative", "test-seed-negative", "find-balanced-alpha-0",
-         "find-balanced-r-1", "find-balanced-beta-inf"],
+         "find-balanced-r-1", "find-balanced-beta-inf", "input-vertex-past-int64",
+         "motif-file-vertex-past-int64", "motif-file-float-vertex"],
 )
 def test_bad_cli_input_exits_2_without_traceback(argv, tmp_path):
     cfg = tmp_path / "cfg"
@@ -290,8 +296,13 @@ def test_bad_cli_input_exits_2_without_traceback(argv, tmp_path):
     binary.write_bytes(b"\xff\xfe\x00")
     nokey = tmp_path / "nokey.json"
     nokey.write_text('{"n": 3}')
+    big = tmp_path / "big.txt"
+    big.write_text("5 2\n1 99999999999999999999\n")
     paths = {"cfg": cfg, "missing": tmp_path / "missing", "tmp": tmp_path, "binary": binary,
-             "nokey": nokey}
+             "nokey": nokey, "big": big}
+    for name, vertex in (("bigmotif", "99999999999999999999"), ("floatmotif", "3.5")):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(f'{{"n": 3, "r": 2, "edges": [[1, 2], [2, 3], [1, {vertex}]]}}')
     argv = [a.format(**paths) for a in argv]
     res = subprocess.run([sys.executable, "-m", "denselab.cli"] + argv,
                          capture_output=True, text=True)

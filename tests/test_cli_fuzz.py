@@ -151,7 +151,8 @@ EDGES = {"2": [f"{i} {j}" for i in range(1, 6) for j in range(i + 1, 6)],
          "3": [f"{i} {j} {k}" for i in range(1, 6) for j in range(i + 1, 6)
                for k in range(j + 1, 6)]}
 BAD_HEADERS = ["5 3", "4 2", "1 2", "0 0", "-3 2", "2000000 2", "5", "5 2 1", "x 2", "5 2.0"]
-BAD_EDGES = ["0 1", "1 6", "-1 2", "2 1", "1 1", "1 x", "1.5 2", "1 2 3 4", "1", "1 2 3"]
+BAD_EDGES = ["0 1", "1 6", "-1 2", "2 1", "1 1", "1 x", "1.5 2", "1 2 3 4", "1", "1 2 3",
+             "1 99999999999999999999", "1 -9223372036854775808"]
 
 
 @st.composite

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from denselab import hypergraph
+from denselab.cli import main
 from denselab.errors import BudgetExceededError, InvalidArgumentError
 from denselab.hypergraph import (
     Hypergraph,
@@ -98,7 +99,9 @@ def test_within_ranks_matches_scalar():
 
 
 def test_rank_kernel_validation():
-    for bad in ([[1, 2], [2, 2]], [[2, 1]], [[0, 1]], [[1, 6]], [[1, 2, 3]]):
+    # the last two overflow int64 in their difference
+    for bad in ([[1, 2], [2, 2]], [[2, 1]], [[0, 1]], [[1, 6]], [[1, 2, 3]], [[1, -(2**63)]],
+                [[5, 2 - 2**63]]):
         with pytest.raises(InvalidArgumentError):
             rank_edges(np.array(bad), 5, 2)
     for bad in ([-1], [10], [[0]]):
@@ -112,6 +115,10 @@ def test_rank_kernel_validation():
     # ranks fit, but the table would hold (n + 1)(r + 1) entries
     with pytest.raises(BudgetExceededError):
         Hypergraph(TABLE_BUDGET_VERTICES + 1, 2)
+    # np.array would truncate, overflow on or convert these vertices
+    for edge in ((1, 3.5), (1, 2**63), (1, -(2**63) - 1), (1, "2"), (True, 3)):
+        with pytest.raises(InvalidArgumentError, match=r"edge .* not an int64 integer"):
+            Hypergraph(5, 2, [(1, 2), edge])
 
 
 def test_isolated_free_counts():
@@ -307,7 +314,7 @@ def _parse_by_line(text):
 def _outcome(parse, text):
     try:
         return parse(text)
-    except (InvalidArgumentError, BudgetExceededError, OverflowError) as exc:
+    except (InvalidArgumentError, BudgetExceededError) as exc:
         return type(exc), str(exc)
 
 
@@ -355,10 +362,60 @@ def test_parser_matches_per_line_parser(text):
     assert_parses_like_by_line(text)
 
 
+def _span_outcome(text):
+    """The span reader's hypergraph and comments, or None where it refuses the text."""
+    try:
+        return hypergraph._read_spans(text)
+    except (ValueError, OverflowError, BudgetExceededError):
+        return None
+
+
+@given(edge_list_texts())
+@settings(max_examples=400, deadline=None)
+def test_span_reader_accepts_exactly_what_the_per_line_parser_accepts(text):
+    want = _outcome(_parse_by_line, text)
+    if not isinstance(want[0], Hypergraph):
+        want = None
+    for chunk in (8, hypergraph.TEXT_CHUNK_CHARS):
+        with mock.patch.object(hypergraph, "TEXT_CHUNK_CHARS", chunk):
+            assert _span_outcome(text) == want, chunk
+
+
+def _long_file():
+    """About 15,000 edges of K_300^2 under a comment, written over many spans."""
+    hg = Hypergraph(300, 2, itertools.islice(all_edges(300, 2), 0, None, 3))
+    return hg, write_hypergraph_text(hg, comments=["Z: 1 2"])
+
+
+SAMPLE_ARGS = {"2": ["--n", "400", "--alpha", "0.3", "--beta", "0.5", "--gamma", "0.6"],
+               "3": ["--n", "100", "--alpha", "0.3", "--beta", "1.0", "--gamma", "0.6"]}
+SAMPLE_COMMENTS = {"null": [], "planted": ["Z:"], "aux": ["u-signs:"], "long": ["Z:"]}
+
+
+@pytest.mark.parametrize("model, r", [("null", "2"), ("planted", "2"), ("aux", "2"),
+                                      ("null", "3"), ("planted", "3"), ("long", "2")])
+def test_span_reader_reads_writer_output_without_the_per_line_reader(model, r, tmp_path):
+    """Good text that made the span reader fall back would still parse, only
+    slower, so the per-line reader is made to fail here."""
+    if model == "long":
+        text = _long_file()[1]
+    else:
+        out = tmp_path / "sample.txt"
+        argv = ["sample", "--model", model, "--seed", "3", "--r", r, "--out", str(out)]
+        assert main(argv + SAMPLE_ARGS[r]) == 0
+        text = out.read_text()
+    assert len(text) > 1.5 * hypergraph.TEXT_CHUNK_CHARS
+    want = _parse_by_line(text)
+    assert [c.split()[0] for c in want[1]] == SAMPLE_COMMENTS[model]
+    with mock.patch.object(hypergraph, "_read_lines", side_effect=AssertionError("fell back")):
+        for crlf in (False, True):
+            assert parse_hypergraph_text(text.replace("\n", "\r\n") if crlf else text) == want
+
+
 @pytest.mark.parametrize("fault", [None, "repeat", "unsorted", "wrong-length", "token", "range"])
 def test_parser_matches_per_line_parser_on_long_files(fault):
-    hg = Hypergraph(300, 2, itertools.islice(all_edges(300, 2), 0, None, 3))
-    lines = write_hypergraph_text(hg, comments=["Z: 1 2"]).splitlines()
+    hg, text = _long_file()
+    lines = text.splitlines()
     assert len("\n".join(lines)) > 4 * hypergraph.TEXT_CHUNK_CHARS
     late = len(lines) - 5
     if fault == "repeat":  # the same edge, spelled otherwise, many spans later

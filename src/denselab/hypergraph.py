@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 import re
 import types
@@ -77,6 +78,22 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 TABLE_BUDGET_VERTICES = 1 << 20
 
 
+def _comb_log10(n: int, k: int) -> float:
+    """log10 C(n, k) for 0 <= k <= n/2, without forming C(n, k): a sum of k
+    logs when k < 64, else Stirling's series to its 1/(12k) terms."""
+    if k < 64:
+        return sum(math.log10(n - i) - math.log10(i + 1) for i in range(k))
+    if k.bit_length() > 1000:  # past the float range
+        return math.inf
+    x = k / (n - k)  # in (0, 1]; 0 when it underflows, where log1p(x)/x -> 1
+    ln = (
+        k * (math.log(n) - math.log(k) + (math.log1p(x) / x if x else 1.0))
+        + (math.log(n) - math.log(k) - math.log(n - k) - math.log(2 * math.pi)) / 2
+        + (1 / n - 1 / k - 1 / (n - k)) / 12
+    )
+    return ln / math.log(10)
+
+
 @functools.lru_cache(maxsize=32)
 def binomial_table(n: int, r: int) -> np.ndarray:
     """Read-only int64 table T[x, k] = C(x, k) for 0 <= x <= n, 0 <= k <= r.
@@ -92,6 +109,13 @@ def binomial_table(n: int, r: int) -> np.ndarray:
         raise InvalidArgumentError(f"r={r} < 2")
     if n < r:
         raise InvalidArgumentError(f"n={n} < r={r}")
+    k = min(r, n - r)
+    # C(n, k) >= (n/k)^k, and n/k is at least 2 and above 2^(bits(n) - 1 - bits(k))
+    if k * max(1, n.bit_length() - 1 - k.bit_length()) >= 63:
+        raise BudgetExceededError(
+            f"C({n}, {r}) ~ 10^{_comb_log10(n, k):.1f} edges do not fit in int64 ranks"
+            " (limit 2^63)"
+        )
     if comb(n, r) > _INT64_MAX:
         raise BudgetExceededError(
             f"C({n}, {r}) = {comb(n, r)} edges do not fit in int64 ranks (limit 2^63)"

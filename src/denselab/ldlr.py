@@ -10,6 +10,7 @@ contains no subgraph whose class index lies in the conditioning index set.
 from __future__ import annotations
 
 import csv
+import decimal
 import io
 import itertools
 import math
@@ -19,9 +20,7 @@ from fractions import Fraction
 from math import comb
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-import mpmath
 import numpy as np
-from mpmath import libmp
 
 from . import jsonout
 from .errors import BudgetExceededError, InvalidArgumentError
@@ -38,7 +37,13 @@ from .hypergraph import (
 )
 from .models import ProblemParams, RationalParams, planted_outcomes, sample_planted
 
-LDLR_DPS = 40
+# Powers of rho^2 and w2 are truncated to mantissas of at least this many bits.
+MANT_BITS = 192
+# Slow-path log10s are taken at 40 digits; the float estimate below is within
+# _LOG10_ERR of the true value (f's rounding and the float log10 of f).
+_LOG10 = decimal.Context(prec=40)
+_LOG10_2 = _LOG10.log10(decimal.Decimal(2))
+_LOG10_ERR = decimal.Decimal("1e-15")
 
 
 @dataclass(frozen=True)
@@ -80,19 +85,42 @@ class LdlrClassTerm:
         return math.log10(self.class_count) if self.class_count > 0 else -math.inf
 
 
-def _class_term(ell: int, m: int, class_count: int, exact) -> LdlrClassTerm:
-    """The class term from its exact value, a Fraction or a raw mpf tuple (at
-    the working precision); its log10 comes from the exact value where the
-    float is 0, subnormal or inf."""
-    raw = not isinstance(exact, Fraction)
-    term = libmp.to_float(exact, rnd=libmp.round_nearest) if raw else float(exact)
+def _ratio_float(num: int, den: int) -> float:
+    """num / den (den > 0) rounded once to the nearest float; inf past the
+    float range."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf
+
+
+def _log10(num: int, den: int) -> float:
+    """log10(num / den) for num >= 0, den > 0, rounded to the nearest float.
+
+    With num / den = f * 2^e, f in (1/2, 2), the estimate is the float log10
+    of f plus e * log10(2) at 40 digits. Where the estimate's error bound
+    straddles a rounding boundary, log10 is taken at 40 digits instead.
+    """
+    if num == 0:
+        return -math.inf
+    e = num.bit_length() - den.bit_length()
+    f = (num << -e) / den if e < 0 else num / (den << e)
+    est = _LOG10.add(decimal.Decimal(math.log10(f)), _LOG10.multiply(e, _LOG10_2))
+    lo = float(_LOG10.subtract(est, _LOG10_ERR))
+    if lo == float(_LOG10.add(est, _LOG10_ERR)):
+        return lo
+    return float(
+        _LOG10.subtract(_LOG10.log10(decimal.Decimal(num)), _LOG10.log10(decimal.Decimal(den)))
+    )
+
+
+def _class_term(ell: int, m: int, class_count: int, num: int, den: int) -> LdlrClassTerm:
+    """The class term from its exact value num / den (num >= 0, den > 0); its
+    log10 comes from that value where the float is 0, subnormal or inf."""
+    term = _ratio_float(num, den)
     if sys.float_info.min <= term < math.inf:
         return LdlrClassTerm(ell, m, class_count, term, math.log10(term))
-    if raw:
-        exact = mpmath.mp.make_mpf(exact)
-    else:
-        exact = mpmath.mpf(exact.numerator) / exact.denominator
-    return LdlrClassTerm(ell, m, class_count, term, float(mpmath.log10(exact)))
+    return LdlrClassTerm(ell, m, class_count, term, _log10(num, den))
 
 
 def _exact_class_sums(
@@ -106,7 +134,8 @@ def _exact_class_sums(
         cnt, acc = by_class.get(key, (0, Fraction(0)))
         by_class[key] = (cnt + n_sets, acc + part)
     terms = tuple(
-        _class_term(ell, m, cnt, acc) for (ell, m), (cnt, acc) in sorted(by_class.items())
+        _class_term(ell, m, cnt, *acc.as_integer_ratio())
+        for (ell, m), (cnt, acc) in sorted(by_class.items())
     )
     return {key: acc for key, (_, acc) in by_class.items()}, terms
 
@@ -153,48 +182,57 @@ class LdlrResult:
         return buf.getvalue()
 
 
+def _truncated(x: Fraction) -> Tuple[int, int]:
+    """(mant, exp) with mant = floor(x / 2^exp) of at least MANT_BITS bits."""
+    num, den = x.as_integer_ratio()
+    shift = MANT_BITS + 1 - num.bit_length() + den.bit_length()
+    mant = (num << shift) // den if shift >= 0 else num // (den << -shift)
+    return mant, -shift
+
+
 def ldlr_norm_exact(params: ProblemParams, D: int) -> LdlrResult:
     """||L_{<=D}||^2 = 1 + sum_{ell,m} |S_{ell,m}| rho^{2ell} ((p-q)^2/sigma^2)^m.
 
     Class counts are exact big integers, C(n, ell) times the n-independent
     `class_table(r, D)` entry, which is built once per (r, D), rejects D < 0
-    and raises BudgetExceededError past LDLR_CLASS_BUDGET classes; terms are
-    accumulated at 40 decimal digits so classes spanning hundreds of orders
-    of magnitude sum stably. Each term is formed on raw mpf tuples with
-    mpmath.libmp (count, times rho^{2ell}, times w2^m, then added to the
-    total), rounding to nearest at the working precision: the operations the
-    mpf operators apply, without building an mpf object per class. Cost is
-    polynomial in D and independent of M.
+    and raises BudgetExceededError past LDLR_CLASS_BUDGET classes. rho^{2ell}
+    and w2^m are the exact powers of the binary densities, truncated to
+    integer mantissas of at least MANT_BITS bits with binary exponents, so a
+    term is the exact integer count times two mantissas, and the total is
+    one exact integer sum at the smallest exponent: classes spanning
+    thousands of orders of magnitude sum stably. Each float is one
+    correctly rounded int / int division. Cost is polynomial in D and
+    independent of M.
     """
     n = params.n
     table = class_table(params.r, D)
+    rp = params.exact()
+    rho_sq = rp.rho ** 2
+    w2 = (rp.p - rp.q) ** 2 / rp.sigma_sq
+    w2_pow = [_truncated(w2 ** m) for m in range(D + 1)]
     terms: List[LdlrClassTerm] = []
-    with mpmath.workdps(LDLR_DPS):
-        prec, rnd = mpmath.mp.prec, libmp.round_nearest
-        rho = mpmath.mpf(params.rho)
-        w2 = (mpmath.mpf(params.p) - mpmath.mpf(params.q)) ** 2 / (
-            mpmath.mpf(params.q) * (1 - mpmath.mpf(params.q))
-        )
-        w2_pow = [(w2 ** m)._mpf_ for m in range(D + 1)]
-        total = libmp.fzero
-        ell_done = None
-        for (ell, m), free in table.items():  # ascending ell, then m
-            if ell != ell_done:
-                if ell > n:
-                    break
-                n_sets, rho_pow, ell_done = comb(n, ell), (rho ** (2 * ell))._mpf_, ell
-            cnt = n_sets * free  # |S_{ell,m}|, as count_subgraph_class
-            term = libmp.from_int(cnt, prec, rnd)
-            term = libmp.mpf_mul(libmp.mpf_mul(term, rho_pow, prec, rnd), w2_pow[m], prec, rnd)
-            total = libmp.mpf_add(total, term, prec, rnd)
-            terms.append(_class_term(ell, m, cnt, term))
-        total = mpmath.mp.make_mpf(total)
-        return LdlrResult(
-            value=float(1 + total),
-            value_minus_one=float(total),
-            per_class=tuple(terms),
-            method="exact-formula",
-        )
+    total, base = 0, 0  # the sum so far is total * 2^base, base <= 0
+    ell_done = None
+    for (ell, m), free in table.items():  # ascending ell, then m
+        if ell != ell_done:
+            if ell > n:
+                break
+            n_sets, (rho_man, rho_exp), ell_done = comb(n, ell), _truncated(rho_sq ** ell), ell
+        cnt = n_sets * free  # |S_{ell,m}|, as count_subgraph_class
+        w_man, w_exp = w2_pow[m]
+        term, exp = cnt * rho_man * w_man, rho_exp + w_exp
+        if exp < base:
+            total, base = total << (base - exp), exp
+        total += term << (exp - base)
+        num, den = (term, 1 << -exp) if exp < 0 else (term << exp, 1)
+        terms.append(_class_term(ell, m, cnt, num, den))
+    one = 1 << -base
+    return LdlrResult(
+        value=_ratio_float(total + one, one),
+        value_minus_one=_ratio_float(total, one),
+        per_class=tuple(terms),
+        method="exact-formula",
+    )
 
 
 def ldlr_norm_bruteforce(
@@ -354,7 +392,11 @@ def _enumerate_conditional_numerators(
     """P(E) and the map S -> E_P[phi_S 1_E] * sigma^{|S|}, all exact.
 
     The numerator vanishes unless V(S) lies inside Z, so for each Z only the
-    configurations of the edges within Z need enumerating.
+    configurations of the edges within Z need enumerating. p, q and rho are
+    binary floats, so with 2^k their largest denominator, every outcome
+    probability is an integer over 2^(k (n + C(n, r))) and every factor
+    b - q an integer over 2^k: the sums run on those integers, and each
+    becomes a Fraction once.
     """
     n, r, D = params.n, params.r, spec.D
     if n > CONDITIONAL_TINY_BUDGET_N.get(r, -1):
@@ -363,18 +405,23 @@ def _enumerate_conditional_numerators(
             f"conditional enumeration supports only {pairs}; got n = {n}, r = {r}"
         )
     rp = params.exact()
-    p_event = Fraction(0)
-    coeff: Dict[Tuple[Edge, ...], Fraction] = {}
+    k = max(x.denominator.bit_length() - 1 for x in (rp.p, rp.q, rp.rho))
+    scale = k * (n + comb(n, r))
+    q_num = rp.q.numerator << (k - rp.q.denominator.bit_length() + 1)
+    p_event = 0
+    num: Dict[Tuple[Edge, ...], int] = {}
     outcomes = planted_outcomes(rp, lambda Z: list(itertools.combinations(sorted(Z), r)))
     for _, c_edges, bits, weight in outcomes:
         if _dense_subset_exists([e for e, b in zip(c_edges, bits) if b], spec):
             continue
-        p_event += weight
-        signed = {e: (Fraction(b) - rp.q) for e, b in zip(c_edges, bits)}
+        w = weight.numerator << (scale - weight.denominator.bit_length() + 1)
+        p_event += w
+        signed = {e: (b << k) - q_num for e, b in zip(c_edges, bits)}
         for m in range(1, D + 1):
             for S in itertools.combinations(c_edges, m):
-                coeff[S] = coeff.get(S, Fraction(0)) + math.prod(map(signed.get, S), start=weight)
-    return p_event, coeff
+                num[S] = num.get(S, 0) + math.prod(map(signed.get, S), start=w)
+    coeff = {S: Fraction(c, 1 << (scale + k * len(S))) for S, c in num.items()}
+    return Fraction(p_event, 1 << scale), coeff
 
 
 def conditional_ldlr_exact_tiny(

@@ -68,9 +68,10 @@ def test_invalid_worker_count_exit_code(workers, monkeypatch, capsys):
     assert "DENSELAB_WORKERS" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("header", ["4000000 3", "2097152 2"])
+@pytest.mark.parametrize("header", ["4000000 3", "2097152 2", "20000 10000", "1000000 500000"])
 def test_input_header_over_budget_exit_code(header, tmp_path, capsys):
-    # C(4e6, 3) >= 2^63 ranks; 2^21 vertices exceed the rank table's budget
+    # C(4e6, 3) >= 2^63 ranks; 2^21 vertices exceed the rank table's budget;
+    # C(2e4, 1e4) has more digits than Python prints, C(1e6, 5e5) takes ~14 s to form
     graph = tmp_path / "g.txt"
     graph.write_text(header + "\n")
     code = main(["test", "--stat", "edge", "--input", str(graph), "--n", "5", "--r", "2",
@@ -326,6 +327,14 @@ def test_degree_over_class_budget_exits_3_without_traceback(argv):
     errors = [line for line in res.stderr.splitlines() if line.startswith("error: ")]
     assert errors and "--degree" in errors[0]
     assert "Traceback" not in res.stderr
+
+
+def test_cli_import_leaves_mpmath_out():
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, denselab, denselab.cli; assert 'mpmath' not in sys.modules"],
+        capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
 
 
 def _reject_constant(token):

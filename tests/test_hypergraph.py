@@ -1,5 +1,7 @@
 import itertools
+import math
 import pickle
+import re
 from math import comb
 from unittest import mock
 
@@ -16,6 +18,7 @@ from denselab.hypergraph import (
     all_edges,
     LDLR_CLASS_BUDGET,
     TABLE_BUDGET_VERTICES,
+    _comb_log10,
     binomial_table,
     class_table,
     count_isolated_free_edge_sets,
@@ -90,6 +93,30 @@ def test_rank_kernel_empty_and_saturated_table():
     E = unrank_edges(np.array(ranks), n, r)
     assert [tuple(e) for e in E.tolist()] == [unrank_edge(i, n, r) for i in ranks]
     assert rank_edges(E, n, r).tolist() == ranks
+
+
+@pytest.mark.parametrize(
+    "n, r, count",
+    [
+        (4_000_000, 3, "= 10666658666668000000"),  # the bound leaves it open: exact count
+        (10 ** 10, 3, "~ 10^29.2"),
+        (20_000, 10_000, "~ 10^6018.4"),  # past Python's 4300-digit int-to-str limit
+        (1_000_000, 500_000, "~ 10^301026.9"),  # ~14 s to form the count
+        (10 ** 400, 100, "~ 10^39842.0"),  # k / (n - k) underflows to 0.0
+        (2 * 10 ** 400, 10 ** 400, "~ 10^inf"),  # the log10 itself is past the float range
+    ],
+    ids=["4e6-3", "1e10-3", "2e4-1e4", "1e6-5e5", "1e400-100", "2e400-1e400"],
+)
+def test_binomial_table_count_budget_message(n, r, count):
+    with pytest.raises(BudgetExceededError, match=re.escape(f"C({n}, {r}) {count} edges")):
+        binomial_table(n, r)
+
+
+def test_comb_log10_matches_exact_count():
+    for n in (128, 130, 200, 1000, 20_000, 10 ** 12, 10 ** 40):
+        for k in (0, 1, 2, 63, 64, 65, 100, n // 2):
+            if k <= min(n // 2, 20_000):
+                assert _comb_log10(n, k) == pytest.approx(math.log10(comb(n, k)), abs=1e-6)
 
 
 def test_within_ranks_matches_scalar():

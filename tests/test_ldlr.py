@@ -16,10 +16,11 @@ from denselab.hypergraph import (
     induced_vertices,
 )
 from denselab.ldlr import (
-    LDLR_DPS,
+    CONDITIONAL_TINY_BUDGET_N,
     LdlrClassTerm,
     LdlrResult,
-    _class_term,
+    _dense_subset_exists,
+    _enumerate_conditional_numerators,
     build_conditioning_spec,
     conditional_ldlr_exact_tiny,
     conditional_numerators_exact_tiny,
@@ -30,7 +31,7 @@ from denselab.ldlr import (
     ldlr_norm_exact,
     phi_expectation_planted_scaled,
 )
-from denselab.models import derive_params, enumerate_planted_exact
+from denselab.models import derive_params, enumerate_planted_exact, planted_outcomes
 
 
 def tiny_params():
@@ -121,11 +122,14 @@ def test_ldlr_term_log10_from_exact_terms():
         assert t.term_log10 == pytest.approx(math.log10(t.term), rel=1e-12)
 
 
+MPF_DPS = 40  # working precision of the mpmath oracles
+
+
 def _ldlr_exact_oracle(params, D):
     """The class sum with one scalar count_subgraph_class call per class."""
     n, r = params.n, params.r
     terms = []
-    with mpmath.workdps(LDLR_DPS):
+    with mpmath.workdps(MPF_DPS):
         rho = mpmath.mpf(params.rho)
         w2 = (mpmath.mpf(params.p) - mpmath.mpf(params.q)) ** 2 / (
             mpmath.mpf(params.q) * (1 - mpmath.mpf(params.q))
@@ -138,8 +142,30 @@ def _ldlr_exact_oracle(params, D):
                     continue
                 term = mpmath.mpf(cnt) * rho ** (2 * ell) * w2 ** m
                 total += term
-                terms.append(_class_term(ell, m, cnt, term._mpf_))
+                value = float(term)
+                if sys.float_info.min <= value < math.inf:
+                    log10 = math.log10(value)
+                else:
+                    log10 = float(mpmath.log10(term))
+                terms.append(LdlrClassTerm(ell, m, cnt, value, log10))
         return float(1 + total), float(total), tuple(terms)
+
+
+def test_ldlr_exact_subnormal_terms_round_once():
+    """A subnormal class term is its exact value rounded once to a float.
+    mpmath's float conversion rounds to 53 bits first and then to the
+    subnormal grid, which lands one ulp off on these three classes."""
+    pp = derive_params(2000, 2, 0.48, 0.5, 0.6)
+    rp = pp.exact()
+    w2 = (rp.p - rp.q) ** 2 / rp.sigma_sq
+    terms = {(t.ell, t.m): t for t in ldlr_norm_exact(pp, 141).per_class}
+    for ell, m in [(155, 139), (166, 123), (168, 87)]:
+        t = terms[ell, m]
+        exact = t.class_count * rp.rho ** (2 * ell) * w2 ** m
+        assert 0 < t.term < sys.float_info.min
+        assert t.term == float(exact)
+        with mpmath.workdps(MPF_DPS):
+            assert float(mpmath.mpf(exact.numerator) / exact.denominator) != t.term
 
 
 @pytest.mark.parametrize(
@@ -309,6 +335,43 @@ def test_conditional_good_bad_term_bounds():
         assert abs(val.to_float(rp)) <= bound * (1 + 1e-12)
 
 
+def _fraction_conditional_numerators(params, spec):
+    """The conditional enumerator in Fraction arithmetic: the reference for
+    the integer sums of _enumerate_conditional_numerators."""
+    r, D = params.r, spec.D
+    rp = params.exact()
+    p_event = Fraction(0)
+    coeff = {}
+    outcomes = planted_outcomes(rp, lambda Z: list(itertools.combinations(sorted(Z), r)))
+    for _, c_edges, bits, weight in outcomes:
+        if _dense_subset_exists([e for e, b in zip(c_edges, bits) if b], spec):
+            continue
+        p_event += weight
+        signed = {e: (Fraction(b) - rp.q) for e, b in zip(c_edges, bits)}
+        for m in range(1, D + 1):
+            for S in itertools.combinations(c_edges, m):
+                coeff[S] = coeff.get(S, Fraction(0)) + math.prod(map(signed.get, S), start=weight)
+    return p_event, coeff
+
+
+def test_conditional_numerators_match_fraction_enumerator():
+    """Every instance the budget allows, on two exponent sets and three deltas."""
+    seen_empty_index = seen_event_fails = False
+    for r, n_max in CONDITIONAL_TINY_BUDGET_N.items():
+        exps = [(0.45, 0.6, 0.3), (0.2, 0.9, 0.7)] if r == 2 else [(0.45, 1.2, 0.3), (0.3, 1.8, 0.6)]
+        for n in range(r, n_max + 1):
+            for a, b, g in exps:
+                pp = derive_params(n, r, a, b, g)
+                for delta, D in ((0.1, 3), (0.05, 2), (5.0, 3)):
+                    spec = build_conditioning_spec(pp, delta, D)
+                    p_event, coeff = _enumerate_conditional_numerators(pp, spec)
+                    want_p, want_coeff = _fraction_conditional_numerators(pp, spec)
+                    assert (p_event, coeff) == (want_p, want_coeff), (n, r, a, b, g, delta, D)
+                    seen_empty_index |= not spec.index_set
+                    seen_event_fails |= p_event < 1
+    assert seen_empty_index and seen_event_fails
+
+
 def test_conditional_budget():
     pp = derive_params(6, 2, 0.45, 0.6, 0.3)
     spec = build_conditioning_spec(pp, 0.1, 3)
@@ -323,12 +386,12 @@ def test_conditioning_requires_positive_delta():
 
 
 def _ldlr_exact_mpf_loop(params, D):
-    """ldlr_norm_exact as it summed the classes before it moved to raw libmp
-    tuples: one mpf object per count, product and running total, and the
-    float-or-exact log10 rule applied to the mpf term."""
+    """The class sum at 40 digits in mpmath: one mpf object per count, product
+    and running total, and the float-or-exact log10 rule applied to the mpf
+    term."""
     n = params.n
     terms = []
-    with mpmath.workdps(LDLR_DPS):
+    with mpmath.workdps(MPF_DPS):
         rho = mpmath.mpf(params.rho)
         w2 = (mpmath.mpf(params.p) - mpmath.mpf(params.q)) ** 2 / (
             mpmath.mpf(params.q) * (1 - mpmath.mpf(params.q))

@@ -35,7 +35,8 @@ from .hypergraph import (
     vertex_subset_densities,
     within_ranks,
 )
-from .models import ProblemParams, RationalParams, planted_outcomes, sample_planted
+from .models import ProblemParams, RationalParams, _planted_part, planted_outcomes
+from .rng import child_rng
 
 # Powers of rho^2 and w2 are truncated to mantissas of at least this many bits.
 MANT_BITS = 192
@@ -357,8 +358,24 @@ def event_holds(
     # Y.ranks[pos] is the largest edge rank <= each within-Z rank; pos = -1
     # wraps to the largest edge rank, which is then above it, so no match.
     pos = np.searchsorted(Y.ranks, ranks, side="right") - 1
-    present = unrank_edges(ranks[Y.ranks[pos] == ranks], params.n, params.r)
-    return not _dense_subset_exists(present.tolist(), spec)
+    return _planted_part_avoids(ranks[Y.ranks[pos] == ranks], params, spec)
+
+
+def _planted_part_avoids(
+    present: np.ndarray, params: ProblemParams, spec: ConditioningSpec
+) -> bool:
+    """E for the planted part with the given ascending edge ranks."""
+    edges = unrank_edges(present, params.n, params.r)
+    return not _dense_subset_exists(edges.tolist(), spec)
+
+
+def _event_trial(
+    params: ProblemParams, spec: ConditioningSpec, seed: int, key: Sequence[int]
+) -> bool:
+    """event_holds on sample_planted(params, seed, key), from the start of
+    that draw alone: E depends only on Z and the edges within Z."""
+    _, _, present = _planted_part(child_rng(seed, *key), params)
+    return _planted_part_avoids(present, params, spec)
 
 
 @dataclass(frozen=True)
@@ -373,11 +390,7 @@ def estimate_event_probability(
 ) -> EventProbability:
     if trials < 1:
         raise InvalidArgumentError("trials >= 1 required")
-    hits = 0
-    for t in range(trials):
-        sample = sample_planted(params, seed, key=(t,))
-        if event_holds(sample.Z, sample.Y, params, spec):
-            hits += 1
+    hits = sum(_event_trial(params, spec, seed, (t,)) for t in range(trials))
     freq = hits / trials
     se = math.sqrt(freq * (1.0 - freq) / trials)
     return EventProbability(value=freq, std_error=se, trials=trials)

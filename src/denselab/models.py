@@ -144,36 +144,96 @@ class AuxPlantedParams:
     u: np.ndarray  # length-n vector of standardized memberships
 
 
-# Uniforms are drawn this many at a time, so a draw never holds C(n, r)
-# float64s. PCG64 gives random(a) then random(b) exactly the values of
-# random(a + b), so the block size does not change any sampled edge.
-_U_BLOCK = 1 << 16
 _NO_RANKS = np.empty(0, dtype=np.int64)
 
 
-def _coupled_ranks(rng, params: ProblemParams, within: np.ndarray, p: float) -> np.ndarray:
-    """The ascending present ranks, from one uniform u per rank in rank order:
-    present when u < p on the sorted ranks `within`, u < q everywhere else."""
+def _sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values of an array, ascending; sorts `values` in place."""
+    values.sort()
+    keep = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
+def _distinct_positions(rng, k: int, m: int) -> np.ndarray:
+    """k distinct positions drawn uniformly from [0, m), ascending.
+
+    Uniform integers are deduplicated: as many as give k distinct values on
+    average, plus a margin, and more in the rare case that is still short.
+    A uniformly chosen excess is then dropped. Every step treats all
+    positions alike, so the result is a uniform k-subset. Past m / 2 the
+    m - k absent positions are drawn instead, so collisions stay rare.
+    """
+    if 2 * k > m:
+        keep = np.ones(m, dtype=bool)
+        keep[_distinct_positions(rng, m - k, m)] = False
+        return np.flatnonzero(keep)
+    if not k:
+        return _NO_RANKS
+    repeats = max(0.0, -m * math.log1p(-k / m) - k)  # expected repeated draws
+    pos = _sorted_distinct(rng.integers(0, m, k + int(repeats + 3 * math.sqrt(repeats)) + 1))
+    while pos.size < k:
+        pos = _sorted_distinct(np.concatenate([pos, rng.integers(0, m, k - pos.size)]))
+    keep = np.ones(pos.size, dtype=bool)
+    keep[rng.choice(pos.size, pos.size - k, replace=False)] = False
+    return pos[keep]
+
+
+def _bernoulli_positions(rng, m: int, prob: float) -> np.ndarray:
+    """The ascending positions of the successes among m independent Ber(prob)
+    trials: a Binomial(m, prob) count, then that many distinct positions."""
+    return _distinct_positions(rng, int(rng.binomial(m, prob)), m)
+
+
+def _ranks_outside(
+    rng, params: ProblemParams, z: np.ndarray, within: np.ndarray
+) -> np.ndarray:
+    """The ascending present ranks outside `within`, the sorted ranks of the
+    r-subsets of Z = {i + 1 : z[i]}, each present w.p. q: a Binomial(m, q)
+    count over the m ranks outside, then that many distinct positions among
+    them, mapped to ranks."""
+    n, r = params.n, params.r
+    pos = _bernoulli_positions(rng, params.M - within.size, params.q)
+    # The ranks with first vertex i + 1 form block i, and only a block with
+    # z[i] holds ranks of `within`. So outside those blocks, position x is
+    # rank x plus the within-Z count of the earlier blocks; inside them, it
+    # is rank x plus the number of j with within[j] - j <= x.
+    table = binomial_table(n, r)
+    z_before = np.concatenate(([0], np.cumsum(z)))  # members of Z below vertex i + 1
+    w_before = table[z_before[-1], r] - table[z_before[-1] - z_before, r]
+    bounds = np.searchsorted(pos, table[n, r] - table[n - np.arange(n + 1), r] - w_before)
+    counts = bounds[1:] - bounds[:-1]
+    ranks = np.repeat(w_before[:-1], counts)
+    ranks += pos
+    in_z = np.repeat(z, counts)
+    hit = pos[in_z]
+    skipped = np.arange(within.size)
+    np.subtract(within, skipped, out=skipped)
+    ranks[in_z] = hit + np.searchsorted(skipped, hit, side="right")
+    return ranks
+
+
+def _planted_part(rng, params: ProblemParams) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first two steps of a planted draw from `rng`: n membership
+    uniforms, then the ranks within Z, each present w.p. p. Returns the
+    memberships z of vertices 1..n, the ascending ranks of the r-subsets of
+    Z and the present ones among them."""
     binomial_table(params.n, params.r)  # BudgetExceededError if C(n, r) >= 2^63
-    u_buf = np.empty(min(_U_BLOCK, params.M))
-    present_buf = np.empty(u_buf.size, dtype=bool)
-    found = []
-    for start in range(0, params.M, _U_BLOCK):
-        k = min(_U_BLOCK, params.M - start)
-        u = rng.random(out=u_buf[:k])
-        present = np.less(u, params.q, out=present_buf[:k])
-        lo, hi = np.searchsorted(within, (start, start + k))
-        local = within[lo:hi] - start
-        present[local] = u[local] < p
-        found.append(np.flatnonzero(present) + start)
-    return found[0] if len(found) == 1 else np.concatenate(found)
+    z = rng.random(params.n) < params.rho
+    within = within_ranks((np.flatnonzero(z) + 1).tolist(), params.n, params.r)
+    return z, within, within[_bernoulli_positions(rng, within.size, params.p)]
 
 
 def sample_null(
     params: ProblemParams, seed: int, key: Sequence[int] = ()
 ) -> Hypergraph:
-    """One draw of the null model: each edge present independently w.p. q."""
-    ranks = _coupled_ranks(child_rng(seed, *key), params, _NO_RANKS, params.q)
+    """One draw of the null model: each edge present independently w.p. q.
+
+    It is the last step of a planted draw without Z: a Binomial(M, q) edge
+    count, then that many distinct ranks, in O(Mq) time.
+    """
+    binomial_table(params.n, params.r)  # BudgetExceededError if C(n, r) >= 2^63
+    ranks = _bernoulli_positions(child_rng(seed, *key), params.M, params.q)
     return Hypergraph.from_ranks(params.n, params.r, ranks)
 
 
@@ -183,12 +243,19 @@ def sample_planted(
     """One draw of the planted model.
 
     Z has i.i.d. Ber(rho) memberships; given Z, edges inside Z are Ber(p) and
-    all others Ber(q), coupled through a single uniform per edge.
+    all others Ber(q). One child stream is read in this order: the n
+    membership uniforms; a Binomial(C(|Z|, r), p) count of the present edges
+    within Z and their positions among the within-Z ranks; a Binomial count
+    of the present edges outside Z and their positions among the other
+    ranks. A draw costs O(n + Mq + C(|Z|, r)), not O(C(n, r)), and a draw
+    stopped after the within-Z step is the start of the full draw for the
+    same key.
     """
     rng = child_rng(seed, *key)
-    z = rng.random(params.n) < params.rho
-    Z = frozenset(int(i) + 1 for i in np.flatnonzero(z))
-    ranks = _coupled_ranks(rng, params, within_ranks(Z, params.n, params.r), params.p)
+    z, within, inside = _planted_part(rng, params)
+    ranks = np.concatenate([_ranks_outside(rng, params, z, within), inside])
+    ranks.sort(kind="stable")  # merges the two ascending runs
+    Z = frozenset((np.flatnonzero(z) + 1).tolist())
     return PlantedSample(Z, Hypergraph.from_ranks(params.n, params.r, ranks))
 
 

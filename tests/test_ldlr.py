@@ -21,6 +21,7 @@ from denselab.ldlr import (
     LdlrResult,
     _dense_subset_exists,
     _enumerate_conditional_numerators,
+    _event_trial,
     build_conditioning_spec,
     conditional_ldlr_exact_tiny,
     conditional_numerators_exact_tiny,
@@ -31,7 +32,12 @@ from denselab.ldlr import (
     ldlr_norm_exact,
     phi_expectation_planted_scaled,
 )
-from denselab.models import derive_params, enumerate_planted_exact, planted_outcomes
+from denselab.models import (
+    derive_params,
+    enumerate_planted_exact,
+    planted_outcomes,
+    sample_planted,
+)
 
 
 def tiny_params():
@@ -439,3 +445,13 @@ def test_ldlr_exact_matches_mpf_object_loop():
         assert res.to_csv() == want.to_csv()
         if n < 10 ** 100:  # past that the JSON class counts exceed 4300 digits
             assert res.to_json() == want.to_json()
+
+
+def test_event_trial_agrees_with_event_holds_on_the_full_draw():
+    # the mc_local benchmark point; the trial stops after the within-Z step
+    params = derive_params(200, 2, 0.59, 0.8, 0.24)
+    spec = build_conditioning_spec(params, 0.1, 10)
+    verdicts = [_event_trial(params, spec, 7, (t,)) for t in range(300)]
+    samples = (sample_planted(params, 7, key=(t,)) for t in range(300))
+    assert verdicts == [event_holds(s.Z, s.Y, params, spec) for s in samples]
+    assert 0 < sum(verdicts) < 300

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,7 @@ from denselab.errors import (
     InfeasibleError,
     InvalidArgumentError,
 )
-from denselab.hypergraph import rank_edge, write_hypergraph_text
+from denselab.hypergraph import Hypergraph, rank_edge, within_ranks, write_hypergraph_text
 from denselab.models import (
     ProblemParams,
     RationalParams,
@@ -24,6 +25,7 @@ from denselab.models import (
     sample_planted,
     validate_aux_feasible,
 )
+from denselab.rng import child_rng
 
 
 def test_derive_params_example():
@@ -74,16 +76,11 @@ def test_null_sampler_determinism_and_rate():
 
 
 def test_planted_sampler_monotone_coupling():
-    """Planted graphs contain the corresponding null draw's non-Z edges."""
+    """Planted draws are hypergraphs on the params' vertex set, with Z among
+    its vertices."""
     pp = derive_params(12, 2, 0.25, 0.5, 0.7)
     for t in range(20):
         s = sample_planted(pp, 9, key=(t,))
-        inside = set()
-        zs = sorted(s.Z)
-        for i in range(len(zs)):
-            for j in range(i + 1, len(zs)):
-                inside.add(rank_edge((zs[i], zs[j]), pp.n, pp.r))
-        # edges outside Z follow the same uniforms as a null draw would
         assert (s.Y.n, s.Y.r) == (pp.n, pp.r)
         assert s.Z <= set(range(1, pp.n + 1))
 
@@ -106,13 +103,15 @@ def test_planted_rate_inside_z():
 
 # First 16 hex digits of sha256 over the sampled bits (seed 7, planted key
 # (1, 0), null key (0, 0)) and over the planted sample's text form. They pin
-# the RNG stream: one uniform per edge rank, in rank order, drawn after the n
-# membership uniforms. n=600 spans three blocks of drawn uniforms.
+# the RNG stream of a key: the n membership uniforms, then a Binomial count
+# of the present within-Z ranks and its positions among them, then a
+# Binomial count of the other present ranks and its positions. Positions are
+# uniform integers, deduplicated, with a uniformly chosen excess dropped.
 GOLDEN_SAMPLES = [
-    ((600, 2, 0.3, 0.5, 0.75), "ed9800377659f382", "ad52f9e1af5ed6b0", "78724298d9df6f04"),
-    ((300, 2, 0.3, 0.5, 0.75), "8400b466c98409cb", "0d9b5e52eaa83bd0", "2d03826e27e7a860"),
-    ((60, 3, 0.3, 0.9, 0.75), "c1d0b01d7dcc29ca", "3e8b488776c1f719", "30d70b731bb62bf0"),
-    ((24, 4, 0.5, 2.5, 0.8), "0c49cc2cd8b6f139", "de122350eb6114a3", "7f9024af6d128b9d"),
+    ((600, 2, 0.3, 0.5, 0.75), "f8f4a2719e5092b7", "15e39c69ed841b49", "9a5015595b045d52"),
+    ((300, 2, 0.3, 0.5, 0.75), "6d8f0a815cd21d0b", "dc016483eeac546e", "4f457e4615000688"),
+    ((60, 3, 0.3, 0.9, 0.75), "af7ff989f5c48f0a", "7d135ce4cd572655", "dfadb44dc22970a3"),
+    ((24, 4, 0.5, 2.5, 0.8), "c28d8a8b889f5c43", "58f798af85bf75eb", "0ffd94049e1b5cdc"),
 ]
 
 
@@ -131,6 +130,119 @@ def test_sampled_bits_golden(args, planted, null, text):
     assert digest(bits(sample.Y)) == planted
     assert digest(bits(sample_null(pp, 7, key=(0, 0)))) == null
     assert digest(write_hypergraph_text(sample.Y).encode()) == text
+
+
+def dense_planted_reference(params, seed, key=()):
+    """The dense coupled sampler the sparse one replaced, kept as a
+    distributional reference: after the n membership uniforms, one uniform u
+    per edge rank in rank order, the edge present when u < p within Z and
+    u < q elsewhere. Returns Z and the ascending present ranks."""
+    rng = child_rng(seed, *key)
+    Z = frozenset(int(i) + 1 for i in np.flatnonzero(rng.random(params.n) < params.rho))
+    within = within_ranks(Z, params.n, params.r)
+    u = rng.random(params.M)
+    present = u < params.q
+    present[within] = u[within] < params.p
+    return Z, np.flatnonzero(present)
+
+
+def chi_square_exceeds(observed, expected, z=4.0):
+    """Whether Pearson's chi-square of the observed counts against the
+    expected ones passes the chi-square(df) quantile at normal score z
+    (Wilson-Hilferty). Cells expected below 5, and observed cells not in
+    `expected`, are pooled into one."""
+    pooled_obs = pooled_exp = 0.0
+    stat, cells = 0.0, 0
+    for key, e in expected.items():
+        if e < 5:
+            pooled_obs += observed.get(key, 0)
+            pooled_exp += e
+        else:
+            stat += (observed.get(key, 0) - e) ** 2 / e
+            cells += 1
+    pooled_obs += sum(c for key, c in observed.items() if key not in expected)
+    if pooled_exp > 0:
+        stat += (pooled_obs - pooled_exp) ** 2 / pooled_exp
+        cells += 1
+    else:
+        assert pooled_obs == 0
+    df = cells - 1
+    c = 2.0 / (9.0 * df)
+    return stat > df * (1.0 - c + z * math.sqrt(c)) ** 3
+
+
+def test_planted_joint_law_matches_exact_enumeration():
+    # every one of the 2^4 * 2^6 (Z, edge set) outcomes expects at least 10 draws
+    pp = ProblemParams.explicit(4, 2, 0.5, 0.4, 0.5)
+    trials = 40_000
+    observed = Counter()
+    for t in range(trials):
+        s = sample_planted(pp, 13, key=(t,))
+        bits = np.zeros(pp.M, dtype=int)
+        bits[s.Y.ranks] = 1
+        observed[s.Z, tuple(bits.tolist())] += 1
+    dist = enumerate_planted_exact(pp.exact())
+    expected = {(Z, bits): trials * float(pr) for Z, bits, pr in dist.outcomes}
+    assert min(expected.values()) >= 10
+    assert not chi_square_exceeds(observed, expected)
+
+
+@pytest.mark.parametrize("n, r, q", [
+    (1200, 2, 2e-5),  # M = 719,400 ranks and ~14 edges: a one-edge miss shows
+    (10, 2, 0.45),
+    (10, 2, 0.7),  # more than M / 2 edges: the absent ranks are drawn instead
+    (9, 3, 0.4),
+])
+def test_null_edge_count_matches_binomial(n, r, q):
+    pp = ProblemParams.explicit(n, r, 0.9, q, 0.5)
+    trials = 4000
+    observed = Counter(sample_null(pp, 17, key=(t,)).edge_count for t in range(trials))
+    log_q, log_1q = math.log(q), math.log1p(-q)
+
+    def pmf(k):
+        log_c = math.lgamma(pp.M + 1) - math.lgamma(k + 1) - math.lgamma(pp.M - k + 1)
+        return math.exp(log_c + k * log_q + (pp.M - k) * log_1q)
+
+    expected = {k: trials * pmf(k) for k in range(min(pp.M, 200) + 1)}
+    assert not chi_square_exceeds(observed, expected)
+
+
+@pytest.mark.parametrize("args", [(60, 2, 0.3, 0.5, 0.75), (20, 3, 0.3, 0.9, 0.75)])
+def test_planted_moments_match_dense_reference(args):
+    """Means and variances of the edge count and of the within-Z edge count
+    agree with the dense reference sampler within 4 SE."""
+    pp = derive_params(*args)
+    trials = 2000
+
+    def counts(Z, ranks):
+        within = within_ranks(Z, pp.n, pp.r)
+        return len(ranks), int(np.isin(ranks, within).sum())
+
+    sparse = np.array([counts(s.Z, s.Y.ranks) for s in
+                       (sample_planted(pp, 21, key=(t,)) for t in range(trials))], dtype=float)
+    dense = np.array([counts(*dense_planted_reference(pp, 22, key=(t,)))
+                      for t in range(trials)], dtype=float)
+    for col in range(2):
+        a, b = sparse[:, col], dense[:, col]
+        mean_se = math.sqrt(a.var(ddof=1) / trials + b.var(ddof=1) / trials)
+        assert abs(a.mean() - b.mean()) < 4 * mean_se
+        var_se = math.sqrt(sum(
+            (((x - x.mean()) ** 4).mean() - x.var() ** 2) / trials for x in (a, b)))
+        assert abs(a.var(ddof=1) - b.var(ddof=1)) < 4 * var_se
+
+
+def test_null_sampler_at_tiny_q_draws_nothing():
+    pp = ProblemParams.explicit(2 ** 20, 3, 0.5, 1e-300, 1e-3)  # M ~ 1.9e17
+    assert sample_null(pp, 1).edge_count == 0
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_density_near_one_gives_every_edge(r):
+    pp = ProblemParams.explicit(8, r, 1 - 1e-12, 1 - 1e-12, 0.5)
+    complete = Hypergraph.complete(8, r)
+    for t in range(10):
+        assert sample_null(pp, 3, key=(t,)) == complete
+        assert sample_planted(pp, 3, key=(t,)).Y == complete
 
 
 def test_exact_enumeration_mass_and_marginals():

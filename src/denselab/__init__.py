@@ -2,7 +2,6 @@
 
 from .balanced import (
     BalancedMotif,
-    check_complement_inequality,
     find_balanced_motif,
     is_balanced,
     max_subgraph_density,
@@ -38,7 +37,6 @@ from .ldlr import (
 from .models import (
     ProblemParams,
     derive_params,
-    enumerate_planted_exact,
     sample_aux,
     sample_null,
     sample_planted,

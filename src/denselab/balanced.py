@@ -1,4 +1,4 @@
-"""Balancedness checking, the complement inequality, and balanced-motif search.
+"""Balancedness checking and balanced-motif search.
 
 A hypergraph is balanced when every nonempty subhypergraph has edge/vertex
 ratio at most the whole graph's ratio (non-strict). The motif search targets
@@ -18,7 +18,6 @@ from typing import FrozenSet, Tuple
 from . import jsonout
 from .errors import BudgetExceededError, InvalidArgumentError, RegimeError
 from .hypergraph import (
-    Edge,
     Hypergraph,
     all_edges,
     count_embeddings,
@@ -117,31 +116,6 @@ def is_balanced(hg: Hypergraph) -> Tuple[bool, BalanceCertificate]:
     max_density, witness = max_subgraph_density(hg)
     cert = BalanceCertificate(ratio=ratio, max_sub_density=max_density, witness=witness)
     return cert.balanced, cert
-
-
-def check_complement_inequality(
-    hg: Hypergraph, sub_vertices: FrozenSet[int], sub_edges: FrozenSet[Edge]
-) -> bool:
-    """Complement-density inequality for a balanced H and a proper subhypergraph H'.
-
-    Returns whether (|E(H)|-|E(H')|)/(|V(H)|-|V(H')|) >= |E(H)|/|V(H)|; this
-    must always be true for balanced H, so a False return flags an
-    implementation bug, not a counterexample.
-    """
-    ok, _ = is_balanced(hg)
-    if not ok:
-        raise InvalidArgumentError("H must be balanced")
-    verts = induced_vertices(hg.edges)
-    if not sub_vertices < verts:
-        raise InvalidArgumentError("V(H') must be a proper subset of V(H)")
-    if not sub_edges <= hg.edges:
-        raise InvalidArgumentError("E(H') must be a subset of E(H)")
-    if any(not set(e) <= sub_vertices for e in sub_edges):
-        raise InvalidArgumentError("H' edges must lie within V(H')")
-    lhs = Fraction(
-        hg.edge_count - len(sub_edges), len(verts) - len(sub_vertices)
-    )
-    return lhs >= Fraction(hg.edge_count, len(verts))
 
 
 def automorphism_count(hg: Hypergraph) -> int:

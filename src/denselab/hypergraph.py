@@ -368,10 +368,6 @@ class Hypergraph:
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "ranks", ranks)
 
-    @classmethod
-    def complete(cls, n: int, r: int) -> "Hypergraph":
-        return cls.from_ranks(n, r, np.arange(binomial_table(n, r)[n, r]))
-
     @functools.cached_property
     def edges(self) -> FrozenSet[Edge]:
         return frozenset(self.sorted_edges())

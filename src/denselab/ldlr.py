@@ -490,10 +490,3 @@ def conditional_term_bound(
         / sigma ** m
     )
 
-
-def conditional_numerators_exact_tiny(
-    params: ProblemParams, spec: ConditioningSpec
-) -> Dict[Tuple[Edge, ...], SigmaScaled]:
-    """Exact E_P[phi_S 1_E] per subset S, for bound checks at tiny scale."""
-    _, coeff = _enumerate_conditional_numerators(params, spec)
-    return {S: SigmaScaled(c, len(S)) for S, c in coeff.items()}

@@ -8,17 +8,18 @@ floating subtraction chains.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Callable, FrozenSet, Iterator, Optional, Sequence, Tuple
+from typing import Callable, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import BudgetExceededError, InfeasibleError, InvalidArgumentError
-from .hypergraph import Edge, Hypergraph, all_edges, binomial_table, within_ranks
+from .hypergraph import Edge, Hypergraph, binomial_table, within_ranks
 from .rng import child_rng
 
 
@@ -42,7 +43,6 @@ class ProblemParams:
     beta: Optional[float] = None
     gamma: Optional[float] = None
     sigma: float = field(init=False)
-    M: int = field(init=False)
 
     def __post_init__(self) -> None:
         if self.r < 2:
@@ -54,7 +54,12 @@ class ProblemParams:
         if not 0 < self.rho < 1:
             raise InvalidArgumentError("0 < rho < 1 violated")
         object.__setattr__(self, "sigma", math.sqrt(self.q * (1.0 - self.q)))
-        object.__setattr__(self, "M", comb(self.n, self.r))
+
+    @functools.cached_property
+    def M(self) -> int:
+        """C(n, r), formed on first use: the samplers' `binomial_table` guard
+        runs first, so a C(n, r) past 2^63 is never formed there."""
+        return comb(self.n, self.r)
 
     @classmethod
     def explicit(
@@ -145,6 +150,7 @@ class AuxPlantedParams:
 
 
 _NO_RANKS = np.empty(0, dtype=np.int64)
+AUX_PAIR_BUDGET = 2 ** 25  # vertex pairs of one dense auxiliary draw
 
 
 def _sorted_distinct(values: np.ndarray) -> np.ndarray:
@@ -294,11 +300,17 @@ def sample_aux(
 
     Edge (i, j) is present with probability q + sigma*lambda*u_i*u_j, where u
     is built from the same Ber(rho) memberships as the planted model and
-    lambda is exact_spike.
+    lambda is exact_spike. The draw is dense, about 32 bytes per vertex
+    pair, so more than AUX_PAIR_BUDGET pairs raise BudgetExceededError.
     """
     lam = exact_spike(params)
     validate_aux_feasible(params, lam)
     n, rho, q, sigma = params.n, params.rho, params.q, params.sigma
+    if params.M > AUX_PAIR_BUDGET:
+        raise BudgetExceededError(
+            f"C({n}, 2) = {params.M} vertex pairs exceed the auxiliary draw's"
+            f" AUX_PAIR_BUDGET = {AUX_PAIR_BUDGET}"
+        )
     rng = child_rng(seed, *key)
     z = rng.random(n) < rho
     a = math.sqrt((1.0 - rho) / rho)
@@ -315,7 +327,6 @@ def sample_aux(
 class AuxBoundTerm:
     degree: int
     value: float
-    std_error: float
 
 
 @dataclass(frozen=True)
@@ -324,64 +335,45 @@ class AuxBoundResult:
     terms: Tuple[AuxBoundTerm, ...]
 
 
-def aux_ldlr_upper_bound(
-    params: ProblemParams, D: int, trials: int, seed: int
-) -> AuxBoundResult:
-    """Monte Carlo evaluation of sum_{d<=D} lambda^{2d}/d! * E<u,v>^{2d},
-    lambda = exact_spike.
+def _inner_product_moments(rho: Fraction, n: int, K: int) -> List[Fraction]:
+    """E<u,v>^k for k = 0..K, u and v independent membership vectors.
 
-    u and v are independent copies of the membership vector. The inner product
-    only depends on the multinomial counts of the four joint membership
-    states, which keeps the estimator exact and cheap.
+    <u,v> is a sum of n i.i.d. X, each a^2 = (1 - rho)/rho, ab = -1 or
+    b^2 = rho/(1 - rho) w.p. rho^2, 2 rho(1 - rho) and (1 - rho)^2, so
+    E<u,v>^k = k! [t^k] A(t) for A = M^n, M(t) = sum_j E[X^j] t^j / j!.
+    A's coefficients follow from M A' = n M' A (J. C. P. Miller's power
+    recurrence; Knuth, TAOCP vol. 2, 4.7), with c_0 = 1:
+    k a_k = sum_{j=1..k} ((n + 1) j - k) c_j a_{k-j}.
+    """
+    weights = ((rho * rho, (1 - rho) / rho), (2 * rho * (1 - rho), Fraction(-1)),
+               ((1 - rho) ** 2, rho / (1 - rho)))
+    c = [sum(w * x ** j for w, x in weights) / math.factorial(j) for j in range(K + 1)]
+    a = [Fraction(1)]
+    for k in range(1, K + 1):
+        a.append(sum(((n + 1) * j - k) * c[j] * a[k - j] for j in range(1, k + 1)) / k)
+    return [math.factorial(k) * a_k for k, a_k in enumerate(a)]
+
+
+def aux_ldlr_upper_bound(params: ProblemParams, D: int) -> AuxBoundResult:
+    """sum_{d<=D} lambda^{2d}/d! * E<u,v>^{2d}, lambda = exact_spike, exactly.
+
+    u and v are independent copies of the membership vector. lambda^2 =
+    rho^2 (p - q)^2 / (q(1 - q)(1 - rho)^2) and the moments are rational in
+    the binary densities, so every term and the total are exact Fractions,
+    each rounded once to a float.
     """
     if params.r != 2:
         raise InvalidArgumentError("auxiliary bound is defined for r = 2 only")
-    if trials < 1:
-        raise InvalidArgumentError("trials >= 1 required")
     if D < 0:
         raise InvalidArgumentError("D >= 0 required")
-    lam = exact_spike(params)
-    rho = params.rho
-    a = math.sqrt((1.0 - rho) / rho)
-    b = -math.sqrt(rho / (1.0 - rho))
-    rng = child_rng(seed)
-    pvec = [rho * rho, rho * (1 - rho), (1 - rho) * rho, (1 - rho) * (1 - rho)]
-    counts = rng.multinomial(params.n, pvec, size=trials)
-    weights = np.array([a * a, a * b, a * b, b * b])
-    dots = counts @ weights
-    terms = [AuxBoundTerm(0, 1.0, 0.0)]
-    total = 1.0
-    for d in range(1, D + 1):
-        if lam == 0.0:
-            terms.append(AuxBoundTerm(d, 0.0, 0.0))
-            continue
-        moments = dots ** (2 * d)
-        scale = lam ** (2 * d) / math.factorial(d)
-        mean = float(moments.mean()) * scale
-        se = float(moments.std(ddof=1)) / math.sqrt(trials) * scale if trials > 1 else 0.0
-        terms.append(AuxBoundTerm(d, mean, se))
-        total += mean
-    return AuxBoundResult(value=total, terms=tuple(terms))
-
-
-@dataclass(frozen=True)
-class ExactDistribution:
-    """Complete outcome list (Z, Y bits, probability) of the planted model."""
-
-    n: int
-    r: int
-    outcomes: Tuple[Tuple[FrozenSet[int], Tuple[int, ...], Fraction], ...]
-
-    def total_mass(self) -> Fraction:
-        return sum((pr for _, _, pr in self.outcomes), Fraction(0))
-
-    def edge_marginal(self, edge_index: int) -> Fraction:
-        return sum(
-            (pr for _, bits, pr in self.outcomes if bits[edge_index]), Fraction(0)
-        )
-
-
-ENUMERATION_BUDGET_BITS = 26
+    rp = params.exact()
+    lam_sq = rp.rho ** 2 * (rp.p - rp.q) ** 2 / (rp.sigma_sq * (1 - rp.rho) ** 2)
+    moments = _inner_product_moments(rp.rho, params.n, 2 * D)
+    exact = [lam_sq ** d / math.factorial(d) * moments[2 * d] for d in range(D + 1)]
+    return AuxBoundResult(
+        value=float(sum(exact)),
+        terms=tuple(AuxBoundTerm(d, float(t)) for d, t in enumerate(exact)),
+    )
 
 
 def planted_outcomes(
@@ -402,18 +394,3 @@ def planted_outcomes(
         for bits in itertools.product((0, 1), repeat=len(edges)):
             factors = (pe if b else 1 - pe for b, pe in zip(bits, edge_probs))
             yield Z, edges, bits, math.prod(factors, start=prob_z)
-
-
-def enumerate_planted_exact(rp: RationalParams) -> ExactDistribution:
-    """Exact outcome enumeration of the planted model with rational densities."""
-    n, r = rp.n, rp.r
-    M = comb(n, r)
-    if n + M > ENUMERATION_BUDGET_BITS:
-        raise BudgetExceededError(
-            f"2^{n} * 2^{M} outcomes exceed the 2^{ENUMERATION_BUDGET_BITS} budget"
-        )
-    edges = list(all_edges(n, r))
-    outcomes = tuple(
-        (Z, bits, pr) for Z, _, bits, pr in planted_outcomes(rp, lambda Z: edges)
-    )
-    return ExactDistribution(n, r, outcomes)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -23,18 +22,13 @@ import numpy as np
 from . import jsonout
 from .balanced import BalancedMotif
 from .errors import InvalidArgumentError
-from .hypergraph import Hypergraph, count_embeddings, induced_vertices
+from .hypergraph import Hypergraph, count_embeddings
 from .models import ProblemParams, check_exponent_domain, sample_null, sample_planted
 
 StatisticSpec = Union[str, BalancedMotif]  # "edge" or a motif
 
 REGIME_TOLERANCE = 1e-12
 BATCH_COUNT = 20
-
-
-def standardized_edge_values(params: ProblemParams) -> Tuple[float, float]:
-    """The two values (present, absent) taken by (Y_e - q)/sigma."""
-    return (1.0 - params.q) / params.sigma, -params.q / params.sigma
 
 
 def _check_shape(Y: Hypergraph, params: ProblemParams) -> None:
@@ -79,24 +73,6 @@ def exact_moments_edge_stat(params: ProblemParams) -> EdgeStatMoments:
 def count_motif(hg: Hypergraph, motif: BalancedMotif) -> int:
     """Edge subsets of hg whose edge-induced subhypergraph is a copy of the motif."""
     return count_embeddings(motif.motif, hg) // motif.aut_count
-
-
-def is_isomorphic(h1: Hypergraph, h2: Hypergraph) -> bool:
-    """Edge-induced isomorphism: an embedding of h1 into h2 at equal sizes."""
-    v1, v2 = induced_vertices(h1.edges), induced_vertices(h2.edges)
-    if len(v1) != len(v2) or h1.edge_count != h2.edge_count or h1.r != h2.r:
-        return False
-    return count_embeddings(h1, h2) > 0
-
-
-def count_motif_by_subsets(hg: Hypergraph, motif: BalancedMotif) -> int:
-    """Independent oracle: scan all m-edge subsets and test isomorphism."""
-    m = motif.m
-    total = 0
-    for subset in itertools.combinations(hg.sorted_edges(), m):
-        if is_isomorphic(Hypergraph(hg.n, hg.r, subset), motif.motif):
-            total += 1
-    return total
 
 
 def compute_N(motif: BalancedMotif, n: int) -> int:

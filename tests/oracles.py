@@ -1,0 +1,159 @@
+"""Test-only oracles: slow or exhaustive references that the fast paths in
+`denselab` are checked against. Nothing in `src/` or `bench/` calls them.
+"""
+
+import itertools
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from math import comb
+from typing import Dict, FrozenSet, Tuple
+
+import numpy as np
+
+from denselab.balanced import BalancedMotif, is_balanced
+from denselab.errors import BudgetExceededError, InvalidArgumentError
+from denselab.hypergraph import (
+    Edge,
+    Hypergraph,
+    all_edges,
+    binomial_table,
+    count_embeddings,
+    induced_vertices,
+)
+from denselab.ldlr import ConditioningSpec, SigmaScaled, _enumerate_conditional_numerators
+from denselab.models import ProblemParams, RationalParams, exact_spike, planted_outcomes
+from denselab.rng import child_rng
+
+
+def complete(n: int, r: int) -> Hypergraph:
+    """The complete r-uniform hypergraph on n vertices."""
+    return Hypergraph.from_ranks(n, r, np.arange(binomial_table(n, r)[n, r]))
+
+
+def standardized_edge_values(params: ProblemParams) -> Tuple[float, float]:
+    """The two values (present, absent) taken by (Y_e - q)/sigma."""
+    return (1.0 - params.q) / params.sigma, -params.q / params.sigma
+
+
+def is_isomorphic(h1: Hypergraph, h2: Hypergraph) -> bool:
+    """Edge-induced isomorphism: an embedding of h1 into h2 at equal sizes."""
+    v1, v2 = induced_vertices(h1.edges), induced_vertices(h2.edges)
+    if len(v1) != len(v2) or h1.edge_count != h2.edge_count or h1.r != h2.r:
+        return False
+    return count_embeddings(h1, h2) > 0
+
+
+def count_motif_by_subsets(hg: Hypergraph, motif: BalancedMotif) -> int:
+    """Scan all m-edge subsets and test each for isomorphism with the motif."""
+    m = motif.m
+    total = 0
+    for subset in itertools.combinations(hg.sorted_edges(), m):
+        if is_isomorphic(Hypergraph(hg.n, hg.r, subset), motif.motif):
+            total += 1
+    return total
+
+
+def check_complement_inequality(
+    hg: Hypergraph, sub_vertices: FrozenSet[int], sub_edges: FrozenSet[Edge]
+) -> bool:
+    """Complement-density inequality for a balanced H and a proper subhypergraph H'.
+
+    Returns whether (|E(H)|-|E(H')|)/(|V(H)|-|V(H')|) >= |E(H)|/|V(H)|; this
+    must always be true for balanced H, so a False return flags an
+    implementation bug, not a counterexample.
+    """
+    ok, _ = is_balanced(hg)
+    if not ok:
+        raise InvalidArgumentError("H must be balanced")
+    verts = induced_vertices(hg.edges)
+    if not sub_vertices < verts:
+        raise InvalidArgumentError("V(H') must be a proper subset of V(H)")
+    if not sub_edges <= hg.edges:
+        raise InvalidArgumentError("E(H') must be a subset of E(H)")
+    if any(not set(e) <= sub_vertices for e in sub_edges):
+        raise InvalidArgumentError("H' edges must lie within V(H')")
+    lhs = Fraction(
+        hg.edge_count - len(sub_edges), len(verts) - len(sub_vertices)
+    )
+    return lhs >= Fraction(hg.edge_count, len(verts))
+
+
+@dataclass(frozen=True)
+class ExactDistribution:
+    """Complete outcome list (Z, Y bits, probability) of the planted model."""
+
+    n: int
+    r: int
+    outcomes: Tuple[Tuple[FrozenSet[int], Tuple[int, ...], Fraction], ...]
+
+    def total_mass(self) -> Fraction:
+        return sum((pr for _, _, pr in self.outcomes), Fraction(0))
+
+    def edge_marginal(self, edge_index: int) -> Fraction:
+        return sum(
+            (pr for _, bits, pr in self.outcomes if bits[edge_index]), Fraction(0)
+        )
+
+
+ENUMERATION_BUDGET_BITS = 26
+
+
+def enumerate_planted_exact(rp: RationalParams) -> ExactDistribution:
+    """Exact outcome enumeration of the planted model with rational densities."""
+    n, r = rp.n, rp.r
+    M = comb(n, r)
+    if n + M > ENUMERATION_BUDGET_BITS:
+        raise BudgetExceededError(
+            f"2^{n} * 2^{M} outcomes exceed the 2^{ENUMERATION_BUDGET_BITS} budget"
+        )
+    edges = list(all_edges(n, r))
+    outcomes = tuple(
+        (Z, bits, pr) for Z, _, bits, pr in planted_outcomes(rp, lambda Z: edges)
+    )
+    return ExactDistribution(n, r, outcomes)
+
+
+def conditional_numerators_exact_tiny(
+    params: ProblemParams, spec: ConditioningSpec
+) -> Dict[Tuple[Edge, ...], SigmaScaled]:
+    """Exact E_P[phi_S 1_E] per subset S, for bound checks at tiny scale."""
+    _, coeff = _enumerate_conditional_numerators(params, spec)
+    return {S: SigmaScaled(c, len(S)) for S, c in coeff.items()}
+
+
+@dataclass(frozen=True)
+class AuxBoundEstimate:
+    """Monte Carlo sum_{d<=D} lambda^{2d}/d! * E<u,v>^{2d}: the total and
+    each term d, each with its standard error."""
+
+    value: float
+    std_error: float
+    terms: Tuple[Tuple[float, float], ...]
+
+
+def aux_ldlr_bound_estimate(
+    params: ProblemParams, D: int, trials: int, seed: int
+) -> AuxBoundEstimate:
+    """Estimate `models.aux_ldlr_upper_bound` by sampling (trials >= 2).
+
+    u and v are independent copies of the membership vector. The inner
+    product only depends on the multinomial counts of the four joint
+    membership states, so each trial draws those counts.
+    """
+    lam = exact_spike(params)
+    rho = params.rho
+    a = math.sqrt((1.0 - rho) / rho)
+    b = -math.sqrt(rho / (1.0 - rho))
+    pvec = [rho * rho, rho * (1 - rho), (1 - rho) * rho, (1 - rho) * (1 - rho)]
+    counts = child_rng(seed).multinomial(params.n, pvec, size=trials)
+    dots = counts @ np.array([a * a, a * b, a * b, b * b])
+    per_trial = np.array([
+        lam ** (2 * d) / math.factorial(d) * dots ** (2 * d) for d in range(D + 1)
+    ])
+
+    def mean_se(x):
+        return float(x.mean()), float(x.std(ddof=1)) / math.sqrt(trials)
+
+    total = mean_se(per_trial.sum(axis=0))
+    return AuxBoundEstimate(total[0], total[1], tuple(map(mean_se, per_trial)))

@@ -20,7 +20,6 @@ from denselab.hypergraph import Hypergraph, all_edges, induced_vertices
 from denselab.ldlr import (
     build_conditioning_spec,
     conditional_ldlr_exact_tiny,
-    conditional_numerators_exact_tiny,
     conditional_term_bound,
     estimate_event_probability,
     ldlr_norm_bruteforce,
@@ -30,13 +29,13 @@ from denselab.ldlr import (
 from denselab.models import (
     aux_ldlr_upper_bound,
     derive_params,
-    enumerate_planted_exact,
     sample_aux,
     sample_null,
     sample_planted,
 )
-from denselab.hypergraph import rank_edge
+from denselab.hypergraph import within_ranks
 from denselab.stats import count_motif, estimate_separation, exact_moments_motif_stat
+from oracles import conditional_numerators_exact_tiny, enumerate_planted_exact
 
 
 def verdict(num, ok, detail=""):
@@ -284,21 +283,20 @@ def test_criterion_09_auxiliary_model():
     hits = tot = 0
     for t in range(100000):
         aux, Y = sample_aux(pp, 123, key=(t,))
-        present = set(Y.ranks.tolist())
-        planted = (np.flatnonzero(aux.u > 0) + 1).tolist()
-        for e in itertools.combinations(planted, 2):
-            tot += 1
-            hits += rank_edge(e, 100, 2) in present
+        within = within_ranks((np.flatnonzero(aux.u > 0) + 1).tolist(), 100, 2)
+        tot += within.size
+        hits += int(np.count_nonzero(
+            np.searchsorted(Y.ranks, within, side="right") > np.searchsorted(Y.ranks, within)))
     freq = hits / tot
     se = math.sqrt(pp.p * (1 - pp.p) / tot)
     freq_ok = abs(freq - pp.p) <= 4 * se
 
     pp_hard = derive_params(100, 2, 1.5, 0.6, 0.75, enforce_alpha_lt_beta=False)
-    d0_ok = aux_ldlr_upper_bound(pp_hard, 0, 100, 2).value == 1.0
+    d0_ok = aux_ldlr_upper_bound(pp_hard, 0).value == 1.0
     trend = [
         aux_ldlr_upper_bound(
             derive_params(n, 2, 1.5, 0.6, 0.75, enforce_alpha_lt_beta=False),
-            2, 40000, 7,
+            2,
         ).value
         for n in (100, 1000, 10000)
     ]

@@ -329,6 +329,26 @@ def test_degree_over_class_budget_exits_3_without_traceback(argv):
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--model", "aux", "--seed", "1", "--n", "2000000", "--r", "2"],
+        ["sample", "--model", "null", "--seed", "1", "--n", "2000000", "--r", "1000000"],
+        ["test", "--stat", "edge", "--trials", "4", "--seed", "1", "--n", "2000000",
+         "--r", "1000000"],
+    ],
+    ids=["aux-pairs", "sample-huge-r", "test-huge-r"],
+)
+def test_sample_over_budget_exits_3_at_once(argv):
+    # C(2e6, 1e6) takes seconds to form; the budget check must come first
+    res = subprocess.run([sys.executable, "-m", "denselab.cli"] + argv
+                         + ["--alpha", "0.3", "--beta", "0.5", "--gamma", "0.75"],
+                         capture_output=True, text=True, timeout=10)
+    assert res.returncode == 3, res.stderr
+    assert any(line.startswith("error: ") for line in res.stderr.splitlines())
+    assert "Traceback" not in res.stderr
+
+
 def test_cli_import_leaves_mpmath_out():
     res = subprocess.run(
         [sys.executable, "-c",

@@ -24,7 +24,6 @@ from denselab.ldlr import (
     _event_trial,
     build_conditioning_spec,
     conditional_ldlr_exact_tiny,
-    conditional_numerators_exact_tiny,
     conditional_term_bound,
     estimate_event_probability,
     event_holds,
@@ -34,10 +33,10 @@ from denselab.ldlr import (
 )
 from denselab.models import (
     derive_params,
-    enumerate_planted_exact,
     planted_outcomes,
     sample_planted,
 )
+from oracles import complete, conditional_numerators_exact_tiny, enumerate_planted_exact
 
 
 def tiny_params():
@@ -271,7 +270,7 @@ def test_event_trivial_cases():
     empty = Hypergraph(6, 2)
     assert event_holds(frozenset(), empty, pp, spec)
     spec_empty = build_conditioning_spec(pp, 0.1, 2)
-    full = Hypergraph.complete(6, 2)
+    full = complete(6, 2)
     assert event_holds(frozenset(range(1, 7)), full, pp, spec_empty)
 
 

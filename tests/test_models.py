@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -11,14 +12,14 @@ from denselab.errors import (
     InfeasibleError,
     InvalidArgumentError,
 )
-from denselab.hypergraph import Hypergraph, rank_edge, within_ranks, write_hypergraph_text
+from denselab.hypergraph import rank_edge, within_ranks, write_hypergraph_text
 from denselab.models import (
     ProblemParams,
     RationalParams,
+    _inner_product_moments,
     aux_edge_probabilities,
     aux_ldlr_upper_bound,
     derive_params,
-    enumerate_planted_exact,
     exact_spike,
     sample_aux,
     sample_null,
@@ -26,6 +27,7 @@ from denselab.models import (
     validate_aux_feasible,
 )
 from denselab.rng import child_rng
+from oracles import aux_ldlr_bound_estimate, complete, enumerate_planted_exact
 
 
 def test_derive_params_example():
@@ -239,10 +241,10 @@ def test_null_sampler_at_tiny_q_draws_nothing():
 @pytest.mark.parametrize("r", [2, 3, 4])
 def test_density_near_one_gives_every_edge(r):
     pp = ProblemParams.explicit(8, r, 1 - 1e-12, 1 - 1e-12, 0.5)
-    complete = Hypergraph.complete(8, r)
+    full = complete(8, r)
     for t in range(10):
-        assert sample_null(pp, 3, key=(t,)) == complete
-        assert sample_planted(pp, 3, key=(t,)).Y == complete
+        assert sample_null(pp, 3, key=(t,)) == full
+        assert sample_planted(pp, 3, key=(t,)).Y == full
 
 
 def test_exact_enumeration_mass_and_marginals():
@@ -291,14 +293,62 @@ def test_aux_sampler_deterministic():
 
 def test_aux_bound_degree_zero_is_one():
     pp = derive_params(100, 2, 0.25, 0.5, 0.5)
-    res = aux_ldlr_upper_bound(pp, 0, 50, 2)
+    res = aux_ldlr_upper_bound(pp, 0)
     assert res.value == 1.0
     assert len(res.terms) == 1
 
 
 def test_aux_bound_terms_positive_and_reproducible():
     pp = derive_params(100, 2, 0.25, 0.5, 0.5)
-    r1 = aux_ldlr_upper_bound(pp, 2, 500, 4)
-    r2 = aux_ldlr_upper_bound(pp, 2, 500, 4)
-    assert r1.value == r2.value
-    assert all(t.value >= 0 for t in r1.terms)
+    r1 = aux_ldlr_upper_bound(pp, 2)
+    r2 = aux_ldlr_upper_bound(pp, 2)
+    assert r1 == r2
+    assert all(t.value > 0 for t in r1.terms)
+
+
+def test_inner_product_series_gives_second_and_fourth_moments():
+    # E[X] = 0 and E[X^2] = 1, so E<u,v>^2 = n and E<u,v>^4 = n E[X^4] + 3n(n - 1)
+    rho = Fraction(1, 10)
+    x4 = (rho ** 2 * ((1 - rho) / rho) ** 4 + 2 * rho * (1 - rho)
+          + (1 - rho) ** 2 * (rho / (1 - rho)) ** 4)
+    for n in (1, 7, 100, 10 ** 6):
+        moments = _inner_product_moments(rho, n, 4)
+        assert moments[:3] == [1, 0, n]
+        assert moments[4] == n * x4 + 3 * n * (n - 1)
+
+
+def test_inner_product_series_matches_enumeration():
+    # every (z, w) in {0, 1}^(2n): <u,v> sums a^2, ab or b^2 per coordinate
+    rho, n = Fraction(3, 8), 3
+    values = {(1, 1): (1 - rho) / rho, (1, 0): Fraction(-1), (0, 1): Fraction(-1),
+              (0, 0): rho / (1 - rho)}
+    want = [Fraction(0)] * 7
+    for zw in itertools.product(values, repeat=n):
+        prob = math.prod(rho if b else 1 - rho for pair in zw for b in pair)
+        dot = sum(values[pair] for pair in zw)
+        for k in range(7):
+            want[k] += prob * dot ** k
+    assert _inner_product_moments(rho, n, 6) == want
+
+
+@pytest.mark.parametrize("n", [100, 1000, 10000])
+def test_aux_bound_within_4_se_of_sampling_oracle(n):
+    pp = derive_params(n, 2, 1.5, 0.6, 0.75, enforce_alpha_lt_beta=False)
+    exact = aux_ldlr_upper_bound(pp, 2)
+    est = aux_ldlr_bound_estimate(pp, 2, 40000, 7)
+    assert abs(exact.value - est.value) <= 4 * est.std_error
+    for term, (mean, se) in zip(exact.terms, est.terms):
+        assert abs(term.value - mean) <= 4 * se
+
+
+def test_aux_bound_rejects_negative_degree_and_r_3():
+    with pytest.raises(InvalidArgumentError):
+        aux_ldlr_upper_bound(derive_params(100, 2, 0.25, 0.5, 0.5), -1)
+    with pytest.raises(InvalidArgumentError):
+        aux_ldlr_upper_bound(derive_params(20, 3, 0.25, 0.5, 0.5), 2)
+
+
+def test_aux_draw_past_pair_budget_raises_before_drawing():
+    pp = derive_params(8193, 2, 0.3, 0.5, 0.75)
+    with pytest.raises(BudgetExceededError, match="AUX_PAIR_BUDGET"):
+        sample_aux(pp, 1)

@@ -12,7 +12,6 @@ from denselab.models import (
     ProblemParams,
     RationalParams,
     derive_params,
-    enumerate_planted_exact,
     sample_null,
     sample_planted,
 )
@@ -20,13 +19,17 @@ from denselab.stats import (
     classify_regime,
     compute_N,
     count_motif,
-    count_motif_by_subsets,
     estimate_separation,
     exact_moments_edge_stat,
     exact_moments_motif_stat,
     signed_edge_count,
-    standardized_edge_values,
     threshold_test,
+)
+from oracles import (
+    complete,
+    count_motif_by_subsets,
+    enumerate_planted_exact,
+    standardized_edge_values,
 )
 
 
@@ -52,7 +55,7 @@ def test_standardized_edge_values():
 def test_signed_edge_count_extremes():
     pp = ProblemParams.explicit(4, 2, 0.5, 0.25, 0.25)
     empty = Hypergraph(4, 2)
-    full = Hypergraph.complete(4, 2)
+    full = complete(4, 2)
     assert signed_edge_count(empty, pp) == pytest.approx(-6 * math.sqrt(0.25 / 0.75))
     assert signed_edge_count(full, pp) == pytest.approx(6 * math.sqrt(0.75 / 0.25))
 
@@ -114,7 +117,7 @@ def test_count_motif_examples():
 def test_count_motif_matches_subset_oracle():
     rng = np.random.default_rng(0)
     motifs = [triangle_motif(), path_motif(), single_edge_motif(),
-              certify_motif(Hypergraph.complete(4, 2))]
+              certify_motif(complete(4, 2))]
     universe = list(all_edges(6, 2))
     for _ in range(15):
         k = int(rng.integers(2, 10))
@@ -143,7 +146,7 @@ def test_compute_N_examples():
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
 def test_compute_N_equals_complete_count(n):
     for motif in (triangle_motif(), path_motif()):
-        assert compute_N(motif, n) == count_motif(Hypergraph.complete(n, 2), motif)
+        assert compute_N(motif, n) == count_motif(complete(n, 2), motif)
 
 
 def test_motif_moments_relaxed_hook():
@@ -184,7 +187,7 @@ def test_threshold_test_trivial_cases():
     pp = derive_params(8, 2, 0.25, 0.5, 0.6)
     empty = Hypergraph(8, 2)
     assert threshold_test(empty, pp, "edge").decision == "null"
-    full = Hypergraph.complete(8, 2)
+    full = complete(8, 2)
     assert threshold_test(full, pp, "edge").decision == "planted"
 
 

@@ -215,6 +215,10 @@ def cmd_phase_diagram(args: argparse.Namespace) -> int:
     ns = _parse_list(args.n_grid, int, "--n-grid")
     degree = args.degree if args.degree is not None else 10
     trials = args.trials or 0
+    if trials < 0 or trials == 1:
+        raise InvalidArgumentError("--trials must be 0 (off) or >= 2")
+    if trials > 0:
+        _require(args, "seed")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(
@@ -232,7 +236,6 @@ def cmd_phase_diagram(args: argparse.Namespace) -> int:
                 ldlr = ldlr_norm_exact(params, degree)
                 sep = se = ""
                 if trials > 0:
-                    _require(args, "seed")
                     report = estimate_separation(params, "edge", trials, args.seed)
                     sep = repr(report.separation)
                     se = repr(report.mean_planted_se)

@@ -47,30 +47,11 @@ _LOG10_2 = _LOG10.log10(decimal.Decimal(2))
 _LOG10_ERR = decimal.Decimal("1e-15")
 
 
-@dataclass(frozen=True)
-class SigmaScaled:
-    """A real of the form coeff / sigma^sigma_pow with rational coeff.
-
-    sigma = sqrt(q(1-q)) is irrational, but even powers reduce to the rational
-    q(1-q), so squares of these values are exactly rational.
-    """
-
-    coeff: Fraction
-    sigma_pow: int
-
-    def squared(self, rp: RationalParams) -> Fraction:
-        return self.coeff ** 2 / rp.sigma_sq ** self.sigma_pow
-
-    def to_float(self, rp: RationalParams) -> float:
-        return float(self.coeff) / float(rp.sigma_sq) ** (self.sigma_pow / 2.0)
-
-
-def phi_expectation_planted_scaled(S: Iterable[Edge], rp: RationalParams) -> SigmaScaled:
-    """Exact sigma-scaled E_P[phi_S]: coeff = rho^ell (p-q)^m over sigma^m."""
+def phi_expectation_planted_scaled(S: Iterable[Edge], rp: RationalParams) -> Fraction:
+    """E_P[phi_S] * sigma^|S| = rho^ell (p-q)^m, exactly, for ell = |V(S)| and
+    m = |S|."""
     edges = list(S)
-    ell = len(induced_vertices(edges))
-    m = len(edges)
-    return SigmaScaled(rp.rho ** ell * (rp.p - rp.q) ** m, m)
+    return rp.rho ** len(induced_vertices(edges)) * (rp.p - rp.q) ** len(edges)
 
 
 @dataclass(frozen=True)
@@ -236,32 +217,32 @@ def ldlr_norm_exact(params: ProblemParams, D: int) -> LdlrResult:
     )
 
 
-def ldlr_norm_bruteforce(
-    params: ProblemParams, D: int, exact: bool = False
-) -> LdlrResult:
+def ldlr_norm_bruteforce(params: ProblemParams, D: int) -> LdlrResult:
     """Direct sum of E_P[phi_S]^2 over every edge subset with |S| <= D.
 
     Each subset is enumerated and classed by its own vertex count; at most
-    SUBSET_BUDGET subsets are allowed. With exact=True the sum is carried in
-    rational arithmetic on the exact binary values of (p, q, rho) and
-    returned in exact_value.
+    SUBSET_BUDGET subsets are allowed, checked up to the first partial sum
+    past it. The sum is carried in rational arithmetic on the exact binary
+    values of (p, q, rho) and returned in exact_value.
     """
     if D < 0:
         raise InvalidArgumentError("D >= 0 required")
     M = params.M
-    if sum(comb(M, d) for d in range(D + 1)) > SUBSET_BUDGET:
+    top = min(D, M)  # no subset has more than M edges
+    partial_sums = itertools.accumulate(comb(M, d) for d in range(top + 1))
+    if any(total > SUBSET_BUDGET for total in partial_sums):
         raise BudgetExceededError(
             f"sum of C({M}, d) for d <= {D} exceeds SUBSET_BUDGET = {SUBSET_BUDGET}"
         )
     universe = list(all_edges(params.n, params.r))
     rp = params.exact()
     classes: Dict[Tuple[int, int], List] = {}  # class -> [subset count, one subset]
-    for m in range(1, D + 1):
+    for m in range(1, top + 1):
         for S in itertools.combinations(universe, m):
             classes.setdefault((len(induced_vertices(S)), m), [0, S])[0] += 1
     # E_P[phi_S] depends on S only through its class: one exact square per class
     sums, terms = _exact_class_sums(
-        (key, cnt, cnt * phi_expectation_planted_scaled(S, rp).squared(rp))
+        (key, cnt, cnt * phi_expectation_planted_scaled(S, rp) ** 2 / rp.sigma_sq ** len(S))
         for key, (cnt, S) in classes.items()
     )
     total_sq = sum(sums.values(), Fraction(0))
@@ -270,7 +251,7 @@ def ldlr_norm_bruteforce(
         value_minus_one=float(total_sq),
         per_class=terms,
         method="brute-force",
-        exact_value=(1 + total_sq) if exact else None,
+        exact_value=1 + total_sq,
     )
 
 

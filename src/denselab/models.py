@@ -30,8 +30,9 @@ class ProblemParams:
     the derived sigma = sqrt(q(1 - q)) and M = C(n, r).
 
     The exponents are those of p = n^-alpha, q = n^-beta, rho = n^(gamma-1)
-    when the record comes from `derive_params`, and None when it was built
-    from densities directly (`explicit`, or the constructor).
+    when the record comes from `derive_params`, and None when the constructor
+    is given densities directly. The constructor checks only n >= r >= 2 and
+    p, q, rho in (0, 1), so it allows p = q and p < q.
     """
 
     n: int
@@ -61,16 +62,6 @@ class ProblemParams:
         runs first, so a C(n, r) past 2^63 is never formed there."""
         return comb(self.n, self.r)
 
-    @classmethod
-    def explicit(
-        cls, n: int, r: int, p: float, q: float, rho: float
-    ) -> "ProblemParams":
-        """Params from explicit densities with q <= p, so p = q is allowed
-        (used by oracles and by degenerate-regime tests)."""
-        if not q <= p:
-            raise InvalidArgumentError("q <= p violated")
-        return cls(int(n), int(r), float(p), float(q), float(rho))
-
     def exact(self) -> "RationalParams":
         """Rational view of the stored (binary) float densities."""
         return RationalParams(
@@ -78,18 +69,10 @@ class ProblemParams:
         )
 
 
-def derive_params(
-    n: int,
-    r: int,
-    alpha: float,
-    beta: float,
-    gamma: float,
-    enforce_alpha_lt_beta: bool = True,
-) -> ProblemParams:
+def derive_params(n: int, r: int, alpha: float, beta: float, gamma: float) -> ProblemParams:
     """The params with p = n^-alpha, q = n^-beta and rho = n^(gamma-1), whose
-    exponents must pass check_exponent_domain; enforce_alpha_lt_beta=False
-    admits alpha >= beta, so p <= q."""
-    check_exponent_domain(alpha, beta, gamma, r, ordered=enforce_alpha_lt_beta)
+    exponents must pass check_exponent_domain, and with q < p as floats."""
+    check_exponent_domain(alpha, beta, gamma, r)
     if n < r:  # before math.log, which rejects n <= 0
         raise InvalidArgumentError("n >= r violated")
     ln_n = math.log(n)
@@ -97,23 +80,18 @@ def derive_params(
         n, r, math.exp(-alpha * ln_n), math.exp(-beta * ln_n),
         math.exp((gamma - 1.0) * ln_n), alpha, beta, gamma,
     )
-    if enforce_alpha_lt_beta and not params.q < params.p:
+    if not params.q < params.p:
         raise InvalidArgumentError("q < p violated")
     return params
 
 
-def check_exponent_domain(
-    alpha: float, beta: float, gamma: float, r: int, ordered: bool = True
-) -> None:
+def check_exponent_domain(alpha: float, beta: float, gamma: float, r: int) -> None:
     """Raise InvalidArgumentError unless r >= 2, 0 < alpha < beta < r - 1 and
-    0 < gamma < 1 (so a nan exponent is rejected). ordered=False keeps
-    alpha > 0 and 0 < beta < r - 1 but drops alpha < beta."""
+    0 < gamma < 1 (so a nan exponent is rejected)."""
     if r < 2:
         raise InvalidArgumentError("r >= 2 violated")
-    if ordered and not 0 < alpha < beta < r - 1:
+    if not 0 < alpha < beta < r - 1:
         raise InvalidArgumentError("0 < alpha < beta < r - 1 violated")
-    if not (alpha > 0 and 0 < beta < r - 1):
-        raise InvalidArgumentError("alpha > 0 and 0 < beta < r - 1 violated")
     if not 0 < gamma < 1:
         raise InvalidArgumentError("0 < gamma < 1 violated")
 

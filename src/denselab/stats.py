@@ -15,7 +15,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import comb, factorial
-from typing import Dict, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -51,8 +51,6 @@ class EdgeStatMoments:
     var_q: float
     ep: float
     var_p_bound: float
-    # which fields are exact values vs upper bounds
-    bounds: Tuple[str, ...] = ("var_p_bound",)
 
 
 def exact_moments_edge_stat(params: ProblemParams) -> EdgeStatMoments:
@@ -89,7 +87,6 @@ class MotifStatMoments:
     var_q_bound: float
     var_p_bound: float
     N: int
-    bounds: Tuple[str, ...] = ("lambda_lb", "var_q_bound", "var_p_bound")
 
 
 def exact_moments_motif_stat(params: ProblemParams, motif: BalancedMotif) -> MotifStatMoments:
@@ -276,17 +273,14 @@ def estimate_separation(
         raise InvalidArgumentError("trials >= 2 required")
     nworkers = resolve_workers(workers)
     jobs = [(model, t) for model in ("null", "planted") for t in range(trials)]
-    results: Dict[Tuple[str, int], float] = {}
+    chunks = [jobs[i::nworkers] for i in range(nworkers)]
+    packed = [(params, statistic, seed, chunk) for chunk in chunks if chunk]
     if nworkers == 1:
-        for model, t in jobs:
-            results[(model, t)] = _run_trial(params, statistic, seed, model, t)
+        outs = list(map(_trial_batch, packed))
     else:
-        chunks = [jobs[i::nworkers] for i in range(nworkers)]
-        packed = [(params, statistic, seed, chunk) for chunk in chunks if chunk]
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            for out in pool.map(_trial_batch, packed):
-                for model, t, value in out:
-                    results[(model, t)] = value
+            outs = list(pool.map(_trial_batch, packed))
+    results = {(model, t): value for out in outs for model, t, value in out}
 
     thr = _threshold(params, statistic)
     null_vals = np.array([results[("null", t)] for t in range(trials)])

@@ -21,7 +21,7 @@ from denselab.hypergraph import (
     count_embeddings,
     induced_vertices,
 )
-from denselab.ldlr import ConditioningSpec, SigmaScaled, _enumerate_conditional_numerators
+from denselab.ldlr import ConditioningSpec, _enumerate_conditional_numerators
 from denselab.models import ProblemParams, RationalParams, exact_spike, planted_outcomes
 from denselab.rng import child_rng
 
@@ -116,10 +116,25 @@ def enumerate_planted_exact(rp: RationalParams) -> ExactDistribution:
 
 def conditional_numerators_exact_tiny(
     params: ProblemParams, spec: ConditioningSpec
-) -> Dict[Tuple[Edge, ...], SigmaScaled]:
-    """Exact E_P[phi_S 1_E] per subset S, for bound checks at tiny scale."""
+) -> Dict[Tuple[Edge, ...], float]:
+    """E_P[phi_S 1_E] per subset S, for bound checks at tiny scale: its exact
+    rational square, rounded once to a float, then the signed square root."""
     _, coeff = _enumerate_conditional_numerators(params, spec)
-    return {S: SigmaScaled(c, len(S)) for S, c in coeff.items()}
+    sigma_sq = params.exact().sigma_sq
+    return {S: math.copysign(math.sqrt(c * c / sigma_sq ** len(S)), c) for S, c in coeff.items()}
+
+
+def unordered_exponent_params(
+    n: int, r: int, alpha: float, beta: float, gamma: float
+) -> ProblemParams:
+    """`derive_params`' record without its domain check, so alpha >= beta
+    (p <= q) is allowed, as the auxiliary bound's hard side needs; p, q and
+    rho come from the same expressions, so they are the same floats."""
+    ln_n = math.log(n)
+    return ProblemParams(
+        n, r, math.exp(-alpha * ln_n), math.exp(-beta * ln_n),
+        math.exp((gamma - 1.0) * ln_n), alpha, beta, gamma,
+    )
 
 
 @dataclass(frozen=True)

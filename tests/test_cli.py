@@ -282,13 +282,19 @@ COND = ["ldlr", "--mode", "conditional", "--degree", "3", "--n", "4", "--r", "2"
          "--seed", "1"] + BASE,
         ["test", "--stat", "motif", "--motif-file", "{floatmotif}", "--trials", "2",
          "--seed", "1"] + BASE,
+        GRID + ["--alpha-grid", "0.2", "--gamma-grid", "0.6", "--n-grid", "32",
+                "--trials", "-1", "--seed", "1"],
+        # every grid point is invalid, so a check inside the sweep never runs
+        GRID + ["--alpha-grid", "0.7", "--gamma-grid", "0.6", "--n-grid", "32",
+                "--trials", "3"],
     ],
     ids=["config-value", "config-missing", "input-missing", "input-directory",
          "input-binary", "motif-file-missing", "alpha-grid", "gamma-grid", "n-grid",
          "motif-file-not-json", "motif-file-no-key", "out-unwritable", "delta-nan",
          "delta-inf", "sample-seed-negative", "test-seed-negative", "find-balanced-alpha-0",
          "find-balanced-r-1", "find-balanced-beta-inf", "input-vertex-past-int64",
-         "motif-file-vertex-past-int64", "motif-file-float-vertex"],
+         "motif-file-vertex-past-int64", "motif-file-float-vertex",
+         "phase-diagram-trials-negative", "phase-diagram-trials-without-seed"],
 )
 def test_bad_cli_input_exits_2_without_traceback(argv, tmp_path):
     cfg = tmp_path / "cfg"
@@ -336,11 +342,13 @@ def test_degree_over_class_budget_exits_3_without_traceback(argv):
         ["sample", "--model", "null", "--seed", "1", "--n", "2000000", "--r", "1000000"],
         ["test", "--stat", "edge", "--trials", "4", "--seed", "1", "--n", "2000000",
          "--r", "1000000"],
+        ["ldlr", "--mode", "bruteforce", "--degree", "100000000", "--n", "100", "--r", "2"],
     ],
-    ids=["aux-pairs", "sample-huge-r", "test-huge-r"],
+    ids=["aux-pairs", "sample-huge-r", "test-huge-r", "bruteforce-huge-degree"],
 )
 def test_sample_over_budget_exits_3_at_once(argv):
-    # C(2e6, 1e6) takes seconds to form; the budget check must come first
+    # C(2e6, 1e6) takes seconds to form, and a full sum of C(4950, d) over
+    # 1e8 degrees is 1e8 Python calls; the budget check must stop first
     res = subprocess.run([sys.executable, "-m", "denselab.cli"] + argv
                          + ["--alpha", "0.3", "--beta", "0.5", "--gamma", "0.75"],
                          capture_output=True, text=True, timeout=10)

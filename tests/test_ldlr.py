@@ -37,6 +37,7 @@ from denselab.models import (
     sample_planted,
 )
 from oracles import complete, conditional_numerators_exact_tiny, enumerate_planted_exact
+from test_acceptance import PARAM_GRID  # criterion 01's tiny grid
 
 
 def tiny_params():
@@ -45,17 +46,15 @@ def tiny_params():
 
 def test_phi_expectation_empty_set():
     rp = tiny_params().exact()
-    assert phi_expectation_planted_scaled([], rp).to_float(rp) == 1.0
+    assert phi_expectation_planted_scaled([], rp) == 1
 
 
 def test_phi_expectation_examples():
     rp = tiny_params().exact()
-    assert phi_expectation_planted_scaled([(1, 2)], rp).to_float(rp) == pytest.approx(
-        0.10355, abs=1e-4
-    )
-    assert phi_expectation_planted_scaled([(1, 2), (2, 3)], rp).to_float(rp) == pytest.approx(
-        0.021446, abs=1e-5
-    )
+    one_edge = phi_expectation_planted_scaled([(1, 2)], rp)  # E_P[phi_S] * sigma
+    assert float(one_edge) / math.sqrt(rp.sigma_sq) == pytest.approx(0.10355, abs=1e-4)
+    path = phi_expectation_planted_scaled([(1, 2), (2, 3)], rp)  # E_P[phi_S] * sigma^2
+    assert float(path / rp.sigma_sq) == pytest.approx(0.021446, abs=1e-5)
 
 
 def test_phi_expectation_matches_exhaustive_enumeration():
@@ -74,7 +73,7 @@ def test_phi_expectation_matches_exhaustive_enumeration():
                 ),
                 Fraction(0),
             )
-            assert phi_expectation_planted_scaled(S, rp).coeff == want
+            assert phi_expectation_planted_scaled(S, rp) == want
 
 
 def test_ldlr_exact_degree_zero():
@@ -101,6 +100,23 @@ def test_bruteforce_matches_exact():
             a = ldlr_norm_exact(pp, D).value
             b = ldlr_norm_bruteforce(pp, D).value
             assert abs(a - b) <= 1e-9 * abs(a)
+
+
+def test_bruteforce_exact_value_rounds_to_value():
+    for alpha, beta, gamma in PARAM_GRID:
+        for r in (2, 3):
+            for n in (4, 5):
+                pp = derive_params(n, r, alpha, beta, gamma)
+                for D in (1, 2, 3):
+                    res = ldlr_norm_bruteforce(pp, D)
+                    assert res.exact_value is not None
+                    assert float(res.exact_value) == res.value
+
+
+def test_bruteforce_degree_past_edge_count():
+    # no subset has more than M = 3 edges, so D = 10^7 costs what D = 3 costs
+    pp = derive_params(3, 2, 0.3, 0.6, 0.5)
+    assert ldlr_norm_bruteforce(pp, 10 ** 7) == ldlr_norm_bruteforce(pp, 3)
 
 
 def test_bruteforce_budget():
@@ -315,7 +331,7 @@ def test_conditional_equals_bruteforce_when_unconditioned():
     spec = build_conditioning_spec(pp, 0.1, 2)
     assert spec.index_set == frozenset()
     cond = conditional_ldlr_exact_tiny(pp, spec)
-    brute = ldlr_norm_bruteforce(pp, 2, exact=True)
+    brute = ldlr_norm_bruteforce(pp, 2)
     assert cond.exact_value == brute.exact_value
     assert cond.p_event == 1
 
@@ -331,13 +347,12 @@ def test_conditional_p_event_matches_monte_carlo():
 def test_conditional_good_bad_term_bounds():
     pp = derive_params(4, 2, 0.45, 0.6, 0.3)
     spec = build_conditioning_spec(pp, 0.1, 3)
-    rp = pp.exact()
     nums = conditional_numerators_exact_tiny(pp, spec)
     assert nums, "expected nonempty numerator table"
     for S, val in nums.items():
         ell, m = len(induced_vertices(S)), len(S)
         bound = conditional_term_bound(pp, spec, ell, m)
-        assert abs(val.to_float(rp)) <= bound * (1 + 1e-12)
+        assert abs(val) <= bound * (1 + 1e-12)
 
 
 def _fraction_conditional_numerators(params, spec):

@@ -27,7 +27,12 @@ from denselab.models import (
     validate_aux_feasible,
 )
 from denselab.rng import child_rng
-from oracles import aux_ldlr_bound_estimate, complete, enumerate_planted_exact
+from oracles import (
+    aux_ldlr_bound_estimate,
+    complete,
+    enumerate_planted_exact,
+    unordered_exponent_params,
+)
 
 
 def test_derive_params_example():
@@ -48,20 +53,13 @@ def test_param_constraints():
         derive_params(16, 2, 0.3, 0.5, 1.5)
     with pytest.raises(InvalidArgumentError):
         derive_params(16, 1, 0.3, 0.5, 0.5)
-    # relaxed mode admits alpha >= beta (used by the auxiliary model)
-    pp = derive_params(16, 2, 0.8, 0.5, 0.75, enforce_alpha_lt_beta=False)
-    assert pp.p < pp.q
-    with pytest.raises(InvalidArgumentError, match="alpha > 0"):
-        derive_params(16, 2, 0.0, 0.5, 0.75, enforce_alpha_lt_beta=False)
 
 
-def test_explicit_hook():
-    pp = ProblemParams.explicit(4, 2, 0.5, 0.25, 0.25)
+def test_constructor_from_densities():
+    pp = ProblemParams(4, 2, 0.5, 0.25, 0.25)
     assert pp.alpha is None and pp.M == 6
-    eq = ProblemParams.explicit(4, 2, 0.25, 0.25, 0.25)
+    eq = ProblemParams(4, 2, 0.25, 0.25, 0.25)
     assert eq.p == eq.q  # p = q allowed here, not in the exponent form
-    with pytest.raises(InvalidArgumentError):
-        ProblemParams.explicit(4, 2, 0.1, 0.25, 0.25)
 
 
 def test_null_sampler_determinism_and_rate():
@@ -175,7 +173,7 @@ def chi_square_exceeds(observed, expected, z=4.0):
 
 def test_planted_joint_law_matches_exact_enumeration():
     # every one of the 2^4 * 2^6 (Z, edge set) outcomes expects at least 10 draws
-    pp = ProblemParams.explicit(4, 2, 0.5, 0.4, 0.5)
+    pp = ProblemParams(4, 2, 0.5, 0.4, 0.5)
     trials = 40_000
     observed = Counter()
     for t in range(trials):
@@ -196,7 +194,7 @@ def test_planted_joint_law_matches_exact_enumeration():
     (9, 3, 0.4),
 ])
 def test_null_edge_count_matches_binomial(n, r, q):
-    pp = ProblemParams.explicit(n, r, 0.9, q, 0.5)
+    pp = ProblemParams(n, r, 0.9, q, 0.5)
     trials = 4000
     observed = Counter(sample_null(pp, 17, key=(t,)).edge_count for t in range(trials))
     log_q, log_1q = math.log(q), math.log1p(-q)
@@ -234,13 +232,13 @@ def test_planted_moments_match_dense_reference(args):
 
 
 def test_null_sampler_at_tiny_q_draws_nothing():
-    pp = ProblemParams.explicit(2 ** 20, 3, 0.5, 1e-300, 1e-3)  # M ~ 1.9e17
+    pp = ProblemParams(2 ** 20, 3, 0.5, 1e-300, 1e-3)  # M ~ 1.9e17
     assert sample_null(pp, 1).edge_count == 0
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])
 def test_density_near_one_gives_every_edge(r):
-    pp = ProblemParams.explicit(8, r, 1 - 1e-12, 1 - 1e-12, 0.5)
+    pp = ProblemParams(8, r, 1 - 1e-12, 1 - 1e-12, 0.5)
     full = complete(8, r)
     for t in range(10):
         assert sample_null(pp, 3, key=(t,)) == full
@@ -333,7 +331,7 @@ def test_inner_product_series_matches_enumeration():
 
 @pytest.mark.parametrize("n", [100, 1000, 10000])
 def test_aux_bound_within_4_se_of_sampling_oracle(n):
-    pp = derive_params(n, 2, 1.5, 0.6, 0.75, enforce_alpha_lt_beta=False)
+    pp = unordered_exponent_params(n, 2, 1.5, 0.6, 0.75)
     exact = aux_ldlr_upper_bound(pp, 2)
     est = aux_ldlr_bound_estimate(pp, 2, 40000, 7)
     assert abs(exact.value - est.value) <= 4 * est.std_error

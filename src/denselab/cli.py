@@ -219,6 +219,8 @@ def cmd_phase_diagram(args: argparse.Namespace) -> int:
         raise InvalidArgumentError("--trials must be 0 (off) or >= 2")
     if trials > 0:
         _require(args, "seed")
+        if args.seed < 0:
+            raise InvalidArgumentError(f"--seed {args.seed} must be >= 0")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(

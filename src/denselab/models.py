@@ -197,13 +197,19 @@ def _ranks_outside(
     return ranks
 
 
+def _memberships(rng, params: ProblemParams) -> np.ndarray:
+    """The first step of a planted draw from `rng`: the memberships z of
+    vertices 1..n, from n uniforms."""
+    binomial_table(params.n, params.r)  # BudgetExceededError if C(n, r) >= 2^63
+    return rng.random(params.n) < params.rho
+
+
 def _planted_part(rng, params: ProblemParams) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The first two steps of a planted draw from `rng`: n membership
     uniforms, then the ranks within Z, each present w.p. p. Returns the
     memberships z of vertices 1..n, the ascending ranks of the r-subsets of
     Z and the present ones among them."""
-    binomial_table(params.n, params.r)  # BudgetExceededError if C(n, r) >= 2^63
-    z = rng.random(params.n) < params.rho
+    z = _memberships(rng, params)
     within = within_ranks((np.flatnonzero(z) + 1).tolist(), params.n, params.r)
     return z, within, within[_bernoulli_positions(rng, within.size, params.p)]
 
@@ -231,9 +237,10 @@ def sample_planted(
     membership uniforms; a Binomial(C(|Z|, r), p) count of the present edges
     within Z and their positions among the within-Z ranks; a Binomial count
     of the present edges outside Z and their positions among the other
-    ranks. A draw costs O(n + Mq + C(|Z|, r)), not O(C(n, r)), and a draw
+    ranks. A draw costs O(n + Mq + C(|Z|, r)), not O(C(n, r)). A draw
     stopped after the within-Z step is the start of the full draw for the
-    same key.
+    same key, and one stopped after the outside count gives its edge count
+    (see `edge_count`).
     """
     rng = child_rng(seed, *key)
     z, within, inside = _planted_part(rng, params)
@@ -241,6 +248,27 @@ def sample_planted(
     ranks.sort(kind="stable")  # merges the two ascending runs
     Z = frozenset((np.flatnonzero(z) + 1).tolist())
     return PlantedSample(Z, Hypergraph.from_ranks(params.n, params.r, ranks))
+
+
+def edge_count(
+    params: ProblemParams, seed: int, key: Sequence[int] = (), planted: bool = False
+) -> int:
+    """The edge count of `sample_null(params, seed, key)`, or with `planted`
+    of `sample_planted(params, seed, key).Y`, without the draw's ranks.
+
+    The same stream is read in the same order, with the same budget guard,
+    and stopped after the outside count. The within-Z positions are still
+    drawn, since the count after them depends on how much of the stream they
+    read. A planted count costs O(n + C(|Z|, r) p) and a null count O(1).
+    """
+    if planted:
+        rng = child_rng(seed, *key)
+        m_in = comb(int(np.count_nonzero(_memberships(rng, params))), params.r)
+        inside = _bernoulli_positions(rng, m_in, params.p).size
+    else:
+        binomial_table(params.n, params.r)  # BudgetExceededError if C(n, r) >= 2^63
+        rng, m_in, inside = child_rng(seed, *key), 0, 0
+    return inside + int(rng.binomial(params.M - m_in, params.q))
 
 
 def exact_spike(params: ProblemParams) -> float:

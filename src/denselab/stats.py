@@ -23,7 +23,13 @@ from . import jsonout
 from .balanced import BalancedMotif
 from .errors import InvalidArgumentError
 from .hypergraph import Hypergraph, count_embeddings
-from .models import ProblemParams, check_exponent_domain, sample_null, sample_planted
+from .models import (
+    ProblemParams,
+    check_exponent_domain,
+    edge_count,
+    sample_null,
+    sample_planted,
+)
 
 StatisticSpec = Union[str, BalancedMotif]  # "edge" or a motif
 
@@ -39,10 +45,14 @@ def _check_shape(Y: Hypergraph, params: ProblemParams) -> None:
         )
 
 
+def _standardized_count(count: int, params: ProblemParams) -> float:
+    return (count - params.M * params.q) / params.sigma
+
+
 def signed_edge_count(Y: Hypergraph, params: ProblemParams) -> float:
     """T-tilde = sum_e (Y_e - q)/sigma, computed as (#present - Mq)/sigma."""
     _check_shape(Y, params)
-    return (Y.edge_count - params.M * params.q) / params.sigma
+    return _standardized_count(Y.edge_count, params)
 
 
 @dataclass(frozen=True)
@@ -223,11 +233,13 @@ def _run_trial(
     params: ProblemParams, statistic: StatisticSpec, seed: int, model: str, trial: int
 ) -> float:
     # stream key (seed, model-id, trial) makes results schedule independent
-    model_id = 0 if model == "null" else 1
+    key = (0 if model == "null" else 1, trial)
+    if statistic == "edge":  # the statistic reads only the draw's edge count
+        return _standardized_count(edge_count(params, seed, key, model == "planted"), params)
     if model == "null":
-        Y = sample_null(params, seed, key=(model_id, trial))
+        Y = sample_null(params, seed, key=key)
     else:
-        Y = sample_planted(params, seed, key=(model_id, trial)).Y
+        Y = sample_planted(params, seed, key=key).Y
     return _statistic_value(Y, params, statistic)
 
 

@@ -287,6 +287,8 @@ COND = ["ldlr", "--mode", "conditional", "--degree", "3", "--n", "4", "--r", "2"
         # every grid point is invalid, so a check inside the sweep never runs
         GRID + ["--alpha-grid", "0.7", "--gamma-grid", "0.6", "--n-grid", "32",
                 "--trials", "3"],
+        GRID + ["--alpha-grid", "0.7", "--gamma-grid", "0.6", "--n-grid", "32",
+                "--trials", "3", "--seed", "-1"],
     ],
     ids=["config-value", "config-missing", "input-missing", "input-directory",
          "input-binary", "motif-file-missing", "alpha-grid", "gamma-grid", "n-grid",
@@ -294,7 +296,8 @@ COND = ["ldlr", "--mode", "conditional", "--degree", "3", "--n", "4", "--r", "2"
          "delta-inf", "sample-seed-negative", "test-seed-negative", "find-balanced-alpha-0",
          "find-balanced-r-1", "find-balanced-beta-inf", "input-vertex-past-int64",
          "motif-file-vertex-past-int64", "motif-file-float-vertex",
-         "phase-diagram-trials-negative", "phase-diagram-trials-without-seed"],
+         "phase-diagram-trials-negative", "phase-diagram-trials-without-seed",
+         "phase-diagram-seed-negative"],
 )
 def test_bad_cli_input_exits_2_without_traceback(argv, tmp_path):
     cfg = tmp_path / "cfg"

@@ -20,6 +20,7 @@ from denselab.models import (
     aux_edge_probabilities,
     aux_ldlr_upper_bound,
     derive_params,
+    edge_count,
     exact_spike,
     sample_aux,
     sample_null,
@@ -234,6 +235,42 @@ def test_planted_moments_match_dense_reference(args):
 def test_null_sampler_at_tiny_q_draws_nothing():
     pp = ProblemParams(2 ** 20, 3, 0.5, 1e-300, 1e-3)  # M ~ 1.9e17
     assert sample_null(pp, 1).edge_count == 0
+
+
+@pytest.mark.parametrize(
+    "pp, branch",
+    [
+        (derive_params(2048, 2, 0.3, 0.5, 0.75), None),  # mc_edge's two sets
+        (derive_params(160, 3, 0.3, 0.9, 0.75), None),
+        (derive_params(12, 4, 0.5, 1.5, 0.6), None),
+        (derive_params(10, 3, 0.2, 1.5, 0.5), "z-below-r"),
+        (derive_params(30, 2, 0.02, 0.03, 0.9), "complement"),
+    ],
+    ids=["mc-edge-r2", "mc-edge-r3", "r4", "z-below-r", "p-near-1"],
+)
+def test_edge_count_is_the_sampled_count(pp, branch):
+    seen = set()
+    for t in range(40):
+        key = (t % 2, t)
+        assert edge_count(pp, 11, key) == sample_null(pp, 11, key).edge_count
+        s = sample_planted(pp, 11, key)
+        assert edge_count(pp, 11, key, planted=True) == s.Y.edge_count
+        within = within_ranks(s.Z, pp.n, pp.r)
+        if len(s.Z) < pp.r:
+            seen.add("z-below-r")
+        if 2 * np.isin(within, s.Y.ranks).sum() > within.size:
+            seen.add("complement")  # _distinct_positions drew the absent positions
+    assert branch is None or branch in seen
+
+
+def test_edge_count_raises_the_samplers_budget_error():
+    pp = derive_params(2_000_000, 1_000_000, 0.3, 0.5, 0.75)
+    for planted, sampler in ((False, sample_null), (True, sample_planted)):
+        with pytest.raises(BudgetExceededError) as expected:
+            sampler(pp, 1)
+        with pytest.raises(BudgetExceededError) as raised:
+            edge_count(pp, 1, planted=planted)
+        assert str(raised.value) == str(expected.value)
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])

@@ -18,9 +18,7 @@ from .hypergraph import (
     count_isolated_free_edge_sets,
     count_subgraph_class,
     parse_hypergraph_text,
-    rank_edge,
     rank_edges,
-    unrank_edge,
     unrank_edges,
     write_hypergraph_text,
 )

@@ -77,8 +77,7 @@ def motif_from_json_dict(d: dict) -> BalancedMotif:
 
 def certify_motif(hg: Hypergraph) -> BalancedMotif:
     """Build a BalancedMotif for hg, recomputing its certificate from scratch."""
-    verts = induced_vertices(hg.edges)
-    if len(verts) != hg.n:
+    if len(induced_vertices(hg.sorted_edges())) != hg.n:
         raise InvalidArgumentError("motif must have no isolated vertices")
     ok, cert = is_balanced(hg)
     if not ok:
@@ -101,11 +100,12 @@ def max_subgraph_density(hg: Hypergraph) -> Tuple[Fraction, FrozenSet[int]]:
     and for fixed V' the ratio is maximized by taking all induced edges. The
     2^n - 1 subsets must fit SUBSET_BUDGET, so n <= 23.
     """
-    verts = induced_vertices(hg.edges)
+    edges = hg.sorted_edges()
+    verts = induced_vertices(edges)
     if len(verts) != hg.n:
         raise InvalidArgumentError("hypergraph must be nonempty with no isolated vertices")
     best_m, best_size, best_witness = 0, 1, (min(verts),)
-    for size, m_in, sub in vertex_subset_densities(hg.edges, range(1, hg.n + 1)):
+    for size, m_in, sub in vertex_subset_densities(edges, range(1, hg.n + 1)):
         if m_in * best_size > best_m * size:  # m_in / size beats the best ratio
             best_m, best_size, best_witness = m_in, size, sub
     return Fraction(best_m, best_size), frozenset(best_witness)

@@ -80,9 +80,12 @@ def _apply_config(args: argparse.Namespace) -> None:
 
 def _parse_list(text: str, cast: type, flag: str) -> list:
     try:
-        return [cast(tok) for tok in text.split(",") if tok.strip()]
+        values = [cast(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise InvalidArgumentError(f"{flag}: bad {cast.__name__} in {text!r}") from None
+    if not values:
+        raise InvalidArgumentError(f"{flag} has no values")
+    return values
 
 
 def _emit(text: str, out: Optional[str]) -> None:

@@ -4,11 +4,10 @@ Vertices are 1-based everywhere in the public API. A hyperedge is a strictly
 increasing tuple of r vertex ids; edges are ranked lexicographically on the
 sorted vertex tuple, giving a fixed bijection onto [0, C(n, r)).
 
-`rank_edge`/`unrank_edge` work on one edge in exact big-int arithmetic.
-`rank_edges`/`unrank_edges` are the array kernel used on hot paths; they hold
-ranks in int64, so they need C(n, r) < 2^63. `Hypergraph`, the one edge-set
-type, stores its edges as such ranks. `vertex_subset_densities` is the one
-exhaustive search over vertex subsets, bounded by SUBSET_BUDGET.
+`rank_edges`/`unrank_edges` are the rank kernel; they hold ranks in int64, so
+they need C(n, r) < 2^63. `Hypergraph`, the one edge-set type, stores its
+edges as such ranks. `vertex_subset_densities` is the one exhaustive search
+over vertex subsets, bounded by SUBSET_BUDGET.
 `parse_hypergraph_text` reads the text format with a span reader that takes
 only well-formed text and, at any fault, a per-line reader that names the
 first bad line.
@@ -31,47 +30,6 @@ import numpy as np
 from .errors import BudgetExceededError, InvalidArgumentError
 
 Edge = Tuple[int, ...]
-
-
-def rank_edge(edge: Sequence[int], n: int, r: int) -> int:
-    """Lexicographic rank of a canonical edge among all edges of K_n^r."""
-    if n < r:
-        raise InvalidArgumentError(f"n={n} < r={r}")
-    e = tuple(int(v) for v in edge)
-    if len(e) != r:
-        raise InvalidArgumentError(f"edge {e} does not have {r} vertices")
-    if any(a >= b for a, b in zip(e, e[1:])) or e[0] < 1 or e[-1] > n:
-        raise InvalidArgumentError(f"edge {e} is not strictly increasing within [1, {n}]")
-    rank = 0
-    prev = 0
-    for i, c in enumerate(e):
-        k = r - i - 1
-        # sum_{v=prev+1}^{c-1} C(n-v, k), telescoped
-        rank += comb(n - prev, k + 1) - comb(n - c + 1, k + 1)
-        prev = c
-    return rank
-
-
-def unrank_edge(index: int, n: int, r: int) -> Edge:
-    """Inverse of rank_edge."""
-    m = comb(n, r)
-    if not 0 <= index < m:
-        raise InvalidArgumentError(f"index {index} outside [0, {m})")
-    edge: List[int] = []
-    prev = 0
-    rem = index
-    for i in range(r):
-        k = r - i - 1
-        c = prev + 1
-        while True:
-            block = comb(n - c, k)
-            if rem < block:
-                break
-            rem -= block
-            c += 1
-        edge.append(c)
-        prev = c
-    return tuple(edge)
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -137,8 +95,8 @@ def binomial_table(n: int, r: int) -> np.ndarray:
 def rank_edges(E: np.ndarray, n: int, r: int) -> np.ndarray:
     """Ranks of the rows of a (K, r) array of canonical edges, as int64.
 
-    Same order as rank_edge: rank = C(n, r) - 1 - sum_i C(n - e_i, r - i)
-    over 0-based columns i. Raises InvalidArgumentError unless every row is
+    Lexicographic order: rank = C(n, r) - 1 - sum_i C(n - e_i, r - i) over
+    0-based columns i. Raises InvalidArgumentError unless every row is
     strictly increasing with vertices in [1, n].
     """
     table = binomial_table(n, r)
@@ -326,8 +284,8 @@ class Hypergraph:
 
     The edge set is `ranks`: the read-only, ascending, unique int64 ranks (see
     rank_edges) of the edges, so binomial_table(n, r) must exist: C(n, r) below
-    2^63 and n at most TABLE_BUDGET_VERTICES. `edges` is a frozenset view of
-    the same set, built on first use.
+    2^63 and n at most TABLE_BUDGET_VERTICES. `sorted_edges()` gives them as
+    vertex tuples.
     """
 
     n: int
@@ -336,6 +294,8 @@ class Hypergraph:
 
     def __init__(self, n: int, r: int, edges: Iterable[Sequence[int]] = ()) -> None:
         """Validate and rank the edges; an edge given twice is kept once."""
+        if not all(isinstance(x, int) and not isinstance(x, bool) for x in (n, r)):
+            raise InvalidArgumentError(f"n={n!r} and r={r!r} must be integers")
         binomial_table(n, r)  # checks n >= r >= 2 and C(n, r) < 2^63
         rows = list(dict.fromkeys(map(tuple, edges)))
         bad = next((e for e in rows if len(e) != r), None)
@@ -367,10 +327,6 @@ class Hypergraph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "ranks", ranks)
-
-    @functools.cached_property
-    def edges(self) -> FrozenSet[Edge]:
-        return frozenset(self.sorted_edges())
 
     @property
     def edge_count(self) -> int:
@@ -422,13 +378,14 @@ def count_embeddings(pattern: Hypergraph, host: Hypergraph) -> int:
     candidates are the AND of the host neighbour bitsets of its placed
     neighbours' images, minus the used vertices and the host vertices of lower
     degree. At r = 2 that is the whole edge check; at r > 2 each pattern edge
-    the vertex completes is also looked up in host.edges. With equal vertex
-    and edge counts the maps are isomorphisms, so emb(H, H) = |Aut(H)|.
+    the vertex completes is also looked up in a set of the host edges. With
+    equal vertex and edge counts the maps are isomorphisms: emb(H, H) = |Aut(H)|.
     """
     if pattern.r != host.r:
         raise InvalidArgumentError(f"rank mismatch: pattern r={pattern.r}, host r={host.r}")
-    p_deg, p_nbr = _incidence(pattern.edges)
-    h_deg, h_nbr = _incidence(host.edges)
+    p_edges, h_edges = pattern.sorted_edges(), host.sorted_edges()
+    p_deg, p_nbr = _incidence(p_edges)
+    h_deg, h_nbr = _incidence(h_edges)
     order: List[int] = []
     placed = 0
     for _ in p_deg:
@@ -442,10 +399,10 @@ def count_embeddings(pattern: Hypergraph, host: Hypergraph) -> int:
     anchors = [[pos[u] for u in order[:i] if p_nbr[v] >> u & 1] for i, v in enumerate(order)]
     eligible = [sum(1 << w for w, d in h_deg.items() if d >= p_deg[v]) for v in order]
     checks: List[List[Tuple[int, ...]]] = [[] for _ in order]
-    for e in pattern.edges if pattern.r > 2 else ():
+    for e in p_edges if pattern.r > 2 else ():
         at = tuple(pos[v] for v in e)
         checks[max(at)].append(at)
-    host_edges = host.edges
+    host_edges = set(h_edges) if pattern.r > 2 else set()
     img = [0] * len(order)
     last = len(order) - 1
 

@@ -107,10 +107,10 @@ def _class_term(ell: int, m: int, class_count: int, num: int, den: int) -> LdlrC
 
 def _exact_class_sums(
     parts: Iterable[Tuple[Tuple[int, int], int, Fraction]]
-) -> Tuple[Dict[Tuple[int, int], Fraction], Tuple[LdlrClassTerm, ...]]:
+) -> Tuple[Fraction, Tuple[LdlrClassTerm, ...]]:
     """Merge parts (class (|V(S)|, |S|), subset count, exact sum of E[phi_S]^2
-    over those subsets) per class: the class sums, and the class terms in
-    ascending class order."""
+    over those subsets) per class: the sum over all classes, and the class
+    terms in ascending class order."""
     by_class: Dict[Tuple[int, int], Tuple[int, Fraction]] = {}
     for key, n_sets, part in parts:
         cnt, acc = by_class.get(key, (0, Fraction(0)))
@@ -119,7 +119,7 @@ def _exact_class_sums(
         _class_term(ell, m, cnt, *acc.as_integer_ratio())
         for (ell, m), (cnt, acc) in sorted(by_class.items())
     )
-    return {key: acc for key, (_, acc) in by_class.items()}, terms
+    return sum((acc for _, acc in by_class.values()), Fraction(0)), terms
 
 
 @dataclass(frozen=True)
@@ -130,8 +130,6 @@ class LdlrResult:
     method: str  # "exact-formula" | "brute-force" | "conditional-exact"
     exact_value: Optional[Fraction] = None
     p_event: Optional[Fraction] = None
-    good_sum: Optional[Fraction] = None
-    bad_sum: Optional[Fraction] = None
 
     def to_json_dict(self) -> dict:
         d = {
@@ -241,11 +239,10 @@ def ldlr_norm_bruteforce(params: ProblemParams, D: int) -> LdlrResult:
         for S in itertools.combinations(universe, m):
             classes.setdefault((len(induced_vertices(S)), m), [0, S])[0] += 1
     # E_P[phi_S] depends on S only through its class: one exact square per class
-    sums, terms = _exact_class_sums(
+    total_sq, terms = _exact_class_sums(
         (key, cnt, cnt * phi_expectation_planted_scaled(S, rp) ** 2 / rp.sigma_sq ** len(S))
         for key, (cnt, S) in classes.items()
     )
-    total_sq = sum(sums.values(), Fraction(0))
     return LdlrResult(
         value=float(1 + total_sq),
         value_minus_one=float(total_sq),
@@ -260,17 +257,15 @@ def ldlr_norm_bruteforce(params: ProblemParams, D: int) -> LdlrResult:
 
 @dataclass(frozen=True)
 class ConditioningSpec:
-    """delta, degree cap D, the table ell -> m_ell, and the index set I.
+    """Degree cap D, the table ell -> m_ell, and the index set I.
 
     m_ell = ceil(ell * (gamma/alpha + delta)), computed in exact rational
     arithmetic on the decimal forms of gamma, alpha, delta; I keeps only the
     (ell, m) with m_ell <= m <= D and a nonempty subgraph class.
     """
 
-    delta: float
     D: int
     r: int
-    rate: Fraction
     m_table: Dict[int, int]
     index_set: FrozenSet[Tuple[int, int]]
 
@@ -294,9 +289,7 @@ def build_conditioning_spec(
         for m in range(m_ell, D + 1)
         if (ell, m) in table
     )
-    return ConditioningSpec(
-        delta=float(delta), D=D, r=r, rate=rate, m_table=m_table, index_set=index
-    )
+    return ConditioningSpec(D=D, r=r, m_table=m_table, index_set=index)
 
 
 def _dense_subset_exists(
@@ -425,20 +418,17 @@ def conditional_ldlr_exact_tiny(
 
     E_{P'}[phi_S] = E_P[phi_S 1_E] / P(E). All arithmetic is rational (sigma
     powers kept symbolic), so the I = empty case reproduces the unconditional
-    brute-force value exactly. Also reports the split into good terms (class
-    outside the index set) and bad terms (class inside it).
+    brute-force value exactly.
     """
     rp = params.exact()
     p_event, coeff = _enumerate_conditional_numerators(params, spec)
     if p_event == 0:
         raise InvalidArgumentError("conditioning event has probability zero")
-    sums, terms = _exact_class_sums(
+    total_sq, terms = _exact_class_sums(
         ((len(induced_vertices(S)), len(S)), 1, c ** 2 / (p_event ** 2 * rp.sigma_sq ** len(S)))
         for S, c in coeff.items()
     )
-    bad = sum((acc for key, acc in sums.items() if key in spec.index_set), Fraction(0))
-    total = 1 + sum(sums.values(), Fraction(0))  # the empty S contributes 1
-    good = total - bad
+    total = 1 + total_sq  # the empty S contributes 1
     return LdlrResult(
         value=float(total),
         value_minus_one=float(total - 1),
@@ -446,8 +436,6 @@ def conditional_ldlr_exact_tiny(
         method="conditional-exact",
         exact_value=total,
         p_event=p_event,
-        good_sum=good,
-        bad_sum=bad,
     )
 
 

@@ -119,9 +119,9 @@ class PlantedSample:
 
 @dataclass(frozen=True)
 class AuxPlantedParams:
-    """Spike parameters of the auxiliary rank-one planted model (r = 2)."""
+    """Memberships of one auxiliary draw (r = 2): u_i is a for a planted
+    vertex and b for any other."""
 
-    lambda_spike: float
     a: float
     b: float
     u: np.ndarray  # length-n vector of standardized memberships
@@ -325,7 +325,7 @@ def sample_aux(
     i_idx, j_idx = np.triu_indices(n, k=1)
     probs = q + sigma * lam * u[i_idx] * u[j_idx]
     ranks = np.flatnonzero(rng.random(params.M) < probs)
-    aux = AuxPlantedParams(lambda_spike=lam, a=a, b=b, u=u)
+    aux = AuxPlantedParams(a=a, b=b, u=u)
     return aux, Hypergraph.from_ranks(n, 2, ranks)
 
 

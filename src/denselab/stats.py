@@ -15,7 +15,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import comb, factorial
-from typing import List, Optional, Tuple, Union
+from typing import List, Tuple, Union
 
 import numpy as np
 
@@ -260,9 +260,7 @@ def _batch_variance_se(values: np.ndarray) -> Tuple[float, float]:
     return var, float(bvars.std(ddof=1)) / math.sqrt(b)
 
 
-def resolve_workers(workers: Optional[int] = None) -> int:
-    if workers is not None:
-        return max(1, int(workers))
+def resolve_workers() -> int:
     env = os.environ.get("DENSELAB_WORKERS", "").strip()
     if env and not (env.isdecimal() and int(env) >= 1):
         raise InvalidArgumentError(f"DENSELAB_WORKERS={env!r} is not a positive integer")
@@ -274,16 +272,16 @@ def estimate_separation(
     statistic: StatisticSpec,
     trials: int,
     seed: int,
-    workers: Optional[int] = None,
 ) -> SeparationReport:
     """Monte Carlo separation report over `trials` draws from each model.
 
     Per-trial randomness is keyed by (seed, model, trial), so the report is a
-    pure function of its arguments regardless of the worker count.
+    pure function of its arguments regardless of the worker count, which
+    resolve_workers reads from DENSELAB_WORKERS.
     """
     if trials < 2:
         raise InvalidArgumentError("trials >= 2 required")
-    nworkers = resolve_workers(workers)
+    nworkers = resolve_workers()
     jobs = [(model, t) for model in ("null", "planted") for t in range(trials)]
     chunks = [jobs[i::nworkers] for i in range(nworkers)]
     packed = [(params, statistic, seed, chunk) for chunk in chunks if chunk]

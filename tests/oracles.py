@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Dict, FrozenSet, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 
@@ -31,6 +31,48 @@ def complete(n: int, r: int) -> Hypergraph:
     return Hypergraph.from_ranks(n, r, np.arange(binomial_table(n, r)[n, r]))
 
 
+def rank_edge(edge: Sequence[int], n: int, r: int) -> int:
+    """Lexicographic rank of a canonical edge among all edges of K_n^r, one
+    edge at a time in big-int arithmetic: the reference for rank_edges."""
+    if n < r:
+        raise InvalidArgumentError(f"n={n} < r={r}")
+    e = tuple(int(v) for v in edge)
+    if len(e) != r:
+        raise InvalidArgumentError(f"edge {e} does not have {r} vertices")
+    if any(a >= b for a, b in zip(e, e[1:])) or e[0] < 1 or e[-1] > n:
+        raise InvalidArgumentError(f"edge {e} is not strictly increasing within [1, {n}]")
+    rank = 0
+    prev = 0
+    for i, c in enumerate(e):
+        k = r - i - 1
+        # sum_{v=prev+1}^{c-1} C(n-v, k), telescoped
+        rank += comb(n - prev, k + 1) - comb(n - c + 1, k + 1)
+        prev = c
+    return rank
+
+
+def unrank_edge(index: int, n: int, r: int) -> Edge:
+    """Inverse of rank_edge: the reference for unrank_edges."""
+    m = comb(n, r)
+    if not 0 <= index < m:
+        raise InvalidArgumentError(f"index {index} outside [0, {m})")
+    edge: List[int] = []
+    prev = 0
+    rem = index
+    for i in range(r):
+        k = r - i - 1
+        c = prev + 1
+        while True:
+            block = comb(n - c, k)
+            if rem < block:
+                break
+            rem -= block
+            c += 1
+        edge.append(c)
+        prev = c
+    return tuple(edge)
+
+
 def standardized_edge_values(params: ProblemParams) -> Tuple[float, float]:
     """The two values (present, absent) taken by (Y_e - q)/sigma."""
     return (1.0 - params.q) / params.sigma, -params.q / params.sigma
@@ -38,7 +80,7 @@ def standardized_edge_values(params: ProblemParams) -> Tuple[float, float]:
 
 def is_isomorphic(h1: Hypergraph, h2: Hypergraph) -> bool:
     """Edge-induced isomorphism: an embedding of h1 into h2 at equal sizes."""
-    v1, v2 = induced_vertices(h1.edges), induced_vertices(h2.edges)
+    v1, v2 = induced_vertices(h1.sorted_edges()), induced_vertices(h2.sorted_edges())
     if len(v1) != len(v2) or h1.edge_count != h2.edge_count or h1.r != h2.r:
         return False
     return count_embeddings(h1, h2) > 0
@@ -66,10 +108,11 @@ def check_complement_inequality(
     ok, _ = is_balanced(hg)
     if not ok:
         raise InvalidArgumentError("H must be balanced")
-    verts = induced_vertices(hg.edges)
+    edges = frozenset(hg.sorted_edges())
+    verts = induced_vertices(edges)
     if not sub_vertices < verts:
         raise InvalidArgumentError("V(H') must be a proper subset of V(H)")
-    if not sub_edges <= hg.edges:
+    if not sub_edges <= edges:
         raise InvalidArgumentError("E(H') must be a subset of E(H)")
     if any(not set(e) <= sub_vertices for e in sub_edges):
         raise InvalidArgumentError("H' edges must lie within V(H')")

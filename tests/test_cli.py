@@ -282,6 +282,10 @@ COND = ["ldlr", "--mode", "conditional", "--degree", "3", "--n", "4", "--r", "2"
          "--seed", "1"] + BASE,
         ["test", "--stat", "motif", "--motif-file", "{floatmotif}", "--trials", "2",
          "--seed", "1"] + BASE,
+        ["test", "--stat", "motif", "--motif-file", "{floatn}", "--trials", "2",
+         "--seed", "1"] + BASE,
+        ["test", "--stat", "motif", "--motif-file", "{floatr}", "--trials", "2",
+         "--seed", "1"] + BASE,
         GRID + ["--alpha-grid", "0.2", "--gamma-grid", "0.6", "--n-grid", "32",
                 "--trials", "-1", "--seed", "1"],
         # every grid point is invalid, so a check inside the sweep never runs
@@ -289,15 +293,17 @@ COND = ["ldlr", "--mode", "conditional", "--degree", "3", "--n", "4", "--r", "2"
                 "--trials", "3"],
         GRID + ["--alpha-grid", "0.7", "--gamma-grid", "0.6", "--n-grid", "32",
                 "--trials", "3", "--seed", "-1"],
+        GRID + ["--alpha-grid", ",", "--gamma-grid", "0.6", "--n-grid", "100"],
     ],
     ids=["config-value", "config-missing", "input-missing", "input-directory",
          "input-binary", "motif-file-missing", "alpha-grid", "gamma-grid", "n-grid",
          "motif-file-not-json", "motif-file-no-key", "out-unwritable", "delta-nan",
          "delta-inf", "sample-seed-negative", "test-seed-negative", "find-balanced-alpha-0",
          "find-balanced-r-1", "find-balanced-beta-inf", "input-vertex-past-int64",
-         "motif-file-vertex-past-int64", "motif-file-float-vertex",
-         "phase-diagram-trials-negative", "phase-diagram-trials-without-seed",
-         "phase-diagram-seed-negative"],
+         "motif-file-vertex-past-int64", "motif-file-float-vertex", "motif-file-float-n",
+         "motif-file-float-r", "phase-diagram-trials-negative",
+         "phase-diagram-trials-without-seed", "phase-diagram-seed-negative",
+         "phase-diagram-empty-grid"],
 )
 def test_bad_cli_input_exits_2_without_traceback(argv, tmp_path):
     cfg = tmp_path / "cfg"
@@ -313,6 +319,10 @@ def test_bad_cli_input_exits_2_without_traceback(argv, tmp_path):
     for name, vertex in (("bigmotif", "99999999999999999999"), ("floatmotif", "3.5")):
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(f'{{"n": 3, "r": 2, "edges": [[1, 2], [2, 3], [1, {vertex}]]}}')
+    k4 = "[[1, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 4]]"
+    for name, n, r in (("floatn", "4.0", "2"), ("floatr", "4", "2.0")):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(f'{{"n": {n}, "r": {r}, "edges": {k4}}}')
     argv = [a.format(**paths) for a in argv]
     res = subprocess.run([sys.executable, "-m", "denselab.cli"] + argv,
                          capture_output=True, text=True)

@@ -2,10 +2,13 @@
 
 Each example is one argv for one of the five subcommands, with flags drawn
 from small pools of good, out-of-domain and malformed values, or a --config
-or --input file drawn from good and junk lines. Whatever the input, `main`
+or --input file drawn from good and junk lines, or a --motif-file drawn from
+one good motif and its corruptions. Whatever the input, `main`
 returns 0, 2, 3 or 4, and the only exception that may leave it is
 argparse's SystemExit(2).
 """
+
+import json
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -184,4 +187,45 @@ def test_cli_input_file_exits_with_a_contract_code(graph, stat, tmp_path_factory
     beta = "0.75" if r == "2" else "1.5"
     argv = ["test", "--stat", stat, "--input", write(tmp_path_factory, "fuzz.txt", text),
             "--n", "5", "--r", r, "--alpha", "0.3", "--beta", beta, "--gamma", "0.48"]
+    run_main(argv, tmp_path_factory)
+
+
+# find-balanced's motif at (alpha, beta, gamma) = (0.3, 0.75, 0.48), r = 2: K_4
+MOTIF = {"n": 4, "r": 2, "edges": [[1, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 4]]}
+BAD_SIZES = [4.0, 2.0, 4.5, float("inf"), "4", "2", True, False, None]
+BAD_EDGE_LISTS = [5, "1 2", {"1": 2}, None, [1, 2]]
+NOT_JSON = ["", "{", "n=4", "{'n': 4}", "é"]
+
+
+@st.composite
+def motif_files(draw):
+    """The motif file of K_4, then up to two corruptions: `n` or `r` a float,
+    string, bool or null; `edges` not a list of edges; a vertex a float; a
+    key dropped; or the whole file replaced by text that is not JSON."""
+    motif = dict(MOTIF, edges=[list(e) for e in MOTIF["edges"]])
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(["size", "edges", "vertex", "key", "text"]))
+        if kind == "text":
+            return draw(st.sampled_from(NOT_JSON))
+        if kind == "size":
+            motif[draw(st.sampled_from(["n", "r"]))] = draw(st.sampled_from(BAD_SIZES))
+        elif kind == "edges":
+            motif["edges"] = draw(st.sampled_from(BAD_EDGE_LISTS))
+        elif kind == "vertex" and isinstance(motif.get("edges"), list):
+            edge = motif["edges"][draw(st.integers(0, len(motif["edges"]) - 1))]
+            if isinstance(edge, list):
+                edge[draw(st.integers(0, len(edge) - 1))] += draw(st.sampled_from([0.0, 0.5]))
+        elif kind == "key":
+            del motif[draw(st.sampled_from(sorted(motif)))]
+    return json.dumps(motif)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=motif_files())
+def test_cli_motif_file_exits_with_a_contract_code(text, tmp_path_factory):
+    """The motif counted on a given K_5 host, so that no trials run."""
+    graph = write(tmp_path_factory, "fuzz-host.txt", "\n".join(["5 2"] + EDGES["2"]) + "\n")
+    argv = ["test", "--stat", "motif", "--motif-file",
+            write(tmp_path_factory, "fuzz-motif.json", text), "--input", graph,
+            "--n", "5", "--r", "2", "--alpha", "0.3", "--beta", "0.75", "--gamma", "0.48"]
     run_main(argv, tmp_path_factory)

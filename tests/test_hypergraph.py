@@ -25,13 +25,12 @@ from denselab.hypergraph import (
     count_subgraph_class,
     induced_vertices,
     parse_hypergraph_text,
-    rank_edge,
     rank_edges,
-    unrank_edge,
     unrank_edges,
     within_ranks,
     write_hypergraph_text,
 )
+from oracles import rank_edge, unrank_edge
 
 
 def test_rank_examples():
@@ -220,13 +219,12 @@ def test_hypergraph_ranks_text_and_pickle_roundtrip(r, data):
     n = data.draw(st.integers(r, 12))
     edges = data.draw(st.lists(st.sampled_from(list(all_edges(n, r))), max_size=30))
     hg = Hypergraph(n, r, edges)
-    assert hg.edges == frozenset(edges)
-    assert hg.edge_count == len(hg.edges)
-    assert hg.sorted_edges() == sorted(hg.edges)
-    assert hg.ranks.tolist() == sorted(rank_edge(e, n, r) for e in hg.edges)
+    assert hg.sorted_edges() == sorted(set(edges))
+    assert hg.edge_count == len(set(edges))
+    assert hg.ranks.tolist() == sorted(rank_edge(e, n, r) for e in set(edges))
     assert not hg.ranks.flags.writeable
     wrapped = Hypergraph.from_ranks(n, r, hg.ranks)
-    assert Hypergraph(n, r, hg.edges) == wrapped == hg
+    assert Hypergraph(n, r, set(edges)) == wrapped == hg
     assert hash(wrapped) == hash(hg)
     assert parse_hypergraph_text(write_hypergraph_text(hg))[0] == hg
     restored = pickle.loads(pickle.dumps(hg))

@@ -12,7 +12,7 @@ from denselab.errors import (
     InfeasibleError,
     InvalidArgumentError,
 )
-from denselab.hypergraph import rank_edge, within_ranks, write_hypergraph_text
+from denselab.hypergraph import within_ranks, write_hypergraph_text
 from denselab.models import (
     ProblemParams,
     RationalParams,
@@ -32,6 +32,7 @@ from oracles import (
     aux_ldlr_bound_estimate,
     complete,
     enumerate_planted_exact,
+    rank_edge,
     unordered_exponent_params,
 )
 

@@ -133,7 +133,7 @@ def test_count_motif_relabeling_invariant():
     base = count_motif(H, motif)
     for perm in itertools.permutations(range(1, 6)):
         mp = dict(zip(range(1, 6), perm))
-        edges = frozenset(tuple(sorted((mp[a], mp[b]))) for a, b in H.edges)
+        edges = frozenset(tuple(sorted((mp[a], mp[b]))) for a, b in H.sorted_edges())
         assert count_motif(Hypergraph(5, 2, edges), motif) == base
 
 
@@ -199,10 +199,12 @@ def test_estimate_separation_reproducible():
     assert 0 <= a.type1_error <= 1 and 0 <= a.type2_error <= 1
 
 
-def test_estimate_separation_worker_independence():
+def test_estimate_separation_worker_independence(monkeypatch):
     pp = derive_params(16, 2, 0.25, 0.5, 0.6)
-    serial = estimate_separation(pp, "edge", 24, 5, workers=1)
-    parallel = estimate_separation(pp, "edge", 24, 5, workers=3)
+    monkeypatch.setenv("DENSELAB_WORKERS", "1")
+    serial = estimate_separation(pp, "edge", 24, 5)
+    monkeypatch.setenv("DENSELAB_WORKERS", "3")
+    parallel = estimate_separation(pp, "edge", 24, 5)
     assert serial == parallel
 
 

@@ -29,8 +29,8 @@ from denselab.models import derive_params
 
 
 def density_oracle(hg):
-    verts = sorted(induced_vertices(hg.edges))
-    edges = [frozenset(e) for e in hg.edges]
+    verts = sorted(induced_vertices(hg.sorted_edges()))
+    edges = [frozenset(e) for e in hg.sorted_edges()]
     best = Fraction(0)
     best_witness = frozenset({verts[0]})
     for size in range(1, len(verts) + 1):
@@ -128,7 +128,7 @@ def cycle(n):
 
 def test_density_budget_fails_at_once_past_23_vertices():
     # 2^23 - 1 subsets fit the budget; the check only builds the generator here
-    vertex_subset_densities(cycle(23).edges, range(1, 24))
+    vertex_subset_densities(cycle(23).sorted_edges(), range(1, 24))
     start = time.perf_counter()
     with pytest.raises(BudgetExceededError, match="SUBSET_BUDGET"):
         max_subgraph_density(cycle(24))

@@ -76,9 +76,9 @@ def motif_from_json_dict(d: dict) -> BalancedMotif:
 
 
 def certify_motif(hg: Hypergraph) -> BalancedMotif:
-    """Build a BalancedMotif for hg, recomputing its certificate from scratch."""
-    if len(induced_vertices(hg.sorted_edges())) != hg.n:
-        raise InvalidArgumentError("motif must have no isolated vertices")
+    """Build a BalancedMotif for hg, recomputing its certificate from scratch.
+    Raises InvalidArgumentError when hg has an isolated vertex (see
+    max_subgraph_density) or is not balanced."""
     ok, cert = is_balanced(hg)
     if not ok:
         raise InvalidArgumentError("motif is not balanced")
@@ -98,12 +98,13 @@ def max_subgraph_density(hg: Hypergraph) -> Tuple[Fraction, FrozenSet[int]]:
 
     The vertex-subset form suffices: isolated vertices only lower the ratio,
     and for fixed V' the ratio is maximized by taking all induced edges. The
-    2^n - 1 subsets must fit SUBSET_BUDGET, so n <= 23.
+    2^n - 1 subsets must fit SUBSET_BUDGET, so n <= 23. Raises
+    InvalidArgumentError when hg has an isolated vertex, as an empty one has.
     """
     edges = hg.sorted_edges()
     verts = induced_vertices(edges)
     if len(verts) != hg.n:
-        raise InvalidArgumentError("hypergraph must be nonempty with no isolated vertices")
+        raise InvalidArgumentError("motif must have no isolated vertices")
     best_m, best_size, best_witness = 0, 1, (min(verts),)
     for size, m_in, sub in vertex_subset_densities(edges, range(1, hg.n + 1)):
         if m_in * best_size > best_m * size:  # m_in / size beats the best ratio

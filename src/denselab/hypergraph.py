@@ -52,17 +52,11 @@ def _comb_log10(n: int, k: int) -> float:
     return ln / math.log(10)
 
 
-@functools.lru_cache(maxsize=32)
-def binomial_table(n: int, r: int) -> np.ndarray:
-    """Read-only int64 table T[x, k] = C(x, k) for 0 <= x <= n, 0 <= k <= r.
-
-    Raises InvalidArgumentError unless n >= r >= 2. Raises BudgetExceededError
+def check_rank_space(n: int, r: int) -> None:
+    """Raise InvalidArgumentError unless n >= r >= 2, and BudgetExceededError
     when C(n, r) >= 2^63, the largest rank space the array kernel can index,
-    or when n exceeds TABLE_BUDGET_VERTICES, which bounds the table's
-    (n + 1)(r + 1) entries. Entries past 2^63 - 1 (possible only when
-    r > n/2) saturate there; no rank of an edge of K_n^r ever reads one, since
-    each term of a rank is below C(n, r).
-    """
+    or when n exceeds TABLE_BUDGET_VERTICES, which bounds the (n + 1)(r + 1)
+    entries of `binomial_table(n, r)`. Builds no table."""
     if r < 2:
         raise InvalidArgumentError(f"r={r} < 2")
     if n < r:
@@ -82,6 +76,18 @@ def binomial_table(n: int, r: int) -> np.ndarray:
         raise BudgetExceededError(
             f"n={n} exceeds the {TABLE_BUDGET_VERTICES}-vertex budget of the rank table"
         )
+
+
+@functools.lru_cache(maxsize=32)
+def binomial_table(n: int, r: int) -> np.ndarray:
+    """Read-only int64 table T[x, k] = C(x, k) for 0 <= x <= n, 0 <= k <= r,
+    for the (n, r) that pass `check_rank_space`.
+
+    Entries past 2^63 - 1 (possible only when r > n/2) saturate there; no
+    rank of an edge of K_n^r ever reads one, since each term of a rank is
+    below C(n, r).
+    """
+    check_rank_space(n, r)
     table = np.zeros((n + 1, r + 1), dtype=np.int64)
     table[:, 0] = 1
     for k in range(1, r + 1):

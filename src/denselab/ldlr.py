@@ -35,7 +35,13 @@ from .hypergraph import (
     vertex_subset_densities,
     within_ranks,
 )
-from .models import ProblemParams, RationalParams, _planted_part, planted_outcomes
+from .models import (
+    ProblemParams,
+    RationalParams,
+    _distinct_positions,
+    _planted_counts,
+    planted_outcomes,
+)
 from .rng import child_rng
 
 # Powers of rho^2 and w2 are truncated to mantissas of at least this many bits.
@@ -332,24 +338,28 @@ def event_holds(
     # Y.ranks[pos] is the largest edge rank <= each within-Z rank; pos = -1
     # wraps to the largest edge rank, which is then above it, so no match.
     pos = np.searchsorted(Y.ranks, ranks, side="right") - 1
-    return _planted_part_avoids(ranks[Y.ranks[pos] == ranks], params, spec)
-
-
-def _planted_part_avoids(
-    present: np.ndarray, params: ProblemParams, spec: ConditioningSpec
-) -> bool:
-    """E for the planted part with the given ascending edge ranks."""
-    edges = unrank_edges(present, params.n, params.r)
-    return not _dense_subset_exists(edges.tolist(), spec)
+    present = unrank_edges(ranks[Y.ranks[pos] == ranks], params.n, params.r)
+    return not _dense_subset_exists(present.tolist(), spec)
 
 
 def _event_trial(
     params: ProblemParams, spec: ConditioningSpec, seed: int, key: Sequence[int]
 ) -> bool:
     """event_holds on sample_planted(params, seed, key), from the start of
-    that draw alone: E depends only on Z and the edges within Z."""
-    _, _, present = _planted_part(child_rng(seed, *key), params)
-    return _planted_part_avoids(present, params, spec)
+    that draw alone: E depends only on Z and the edges within Z.
+
+    With fewer edges within Z than the smallest m_ell no witness exists, so
+    the trial stops at the two edge counts. Otherwise it draws the within-Z
+    positions and unranks them among the r-subsets of sorted Z, whose
+    lexicographic order is that of their ranks in K_n^r.
+    """
+    rng = child_rng(seed, *key)
+    z, m_in, c_in, _ = _planted_counts(rng, params)
+    if c_in < min(spec.m_table.values(), default=math.inf):
+        return True
+    zs = np.flatnonzero(z) + 1
+    present = zs[unrank_edges(_distinct_positions(rng, c_in, m_in), zs.size, params.r) - 1]
+    return not _dense_subset_exists(present.tolist(), spec)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from typing import Callable, FrozenSet, Iterator, List, Optional, Sequence, Tupl
 import numpy as np
 
 from .errors import BudgetExceededError, InfeasibleError, InvalidArgumentError
-from .hypergraph import Edge, Hypergraph, binomial_table, within_ranks
+from .hypergraph import Edge, Hypergraph, binomial_table, check_rank_space, within_ranks
 from .rng import child_rng
 
 
@@ -58,8 +58,8 @@ class ProblemParams:
 
     @functools.cached_property
     def M(self) -> int:
-        """C(n, r), formed on first use: the samplers' `binomial_table` guard
-        runs first, so a C(n, r) past 2^63 is never formed there."""
+        """C(n, r), formed on first use: the samplers' `check_rank_space`
+        guard runs first, so a C(n, r) past 2^63 is never formed there."""
         return comb(self.n, self.r)
 
     def exact(self) -> "RationalParams":
@@ -163,21 +163,12 @@ def _distinct_positions(rng, k: int, m: int) -> np.ndarray:
     return pos[keep]
 
 
-def _bernoulli_positions(rng, m: int, prob: float) -> np.ndarray:
-    """The ascending positions of the successes among m independent Ber(prob)
-    trials: a Binomial(m, prob) count, then that many distinct positions."""
-    return _distinct_positions(rng, int(rng.binomial(m, prob)), m)
-
-
 def _ranks_outside(
-    rng, params: ProblemParams, z: np.ndarray, within: np.ndarray
+    params: ProblemParams, z: np.ndarray, within: np.ndarray, pos: np.ndarray
 ) -> np.ndarray:
-    """The ascending present ranks outside `within`, the sorted ranks of the
-    r-subsets of Z = {i + 1 : z[i]}, each present w.p. q: a Binomial(m, q)
-    count over the m ranks outside, then that many distinct positions among
-    them, mapped to ranks."""
+    """The ranks at the ascending positions `pos` among the ranks outside
+    `within`, the sorted ranks of the r-subsets of Z = {i + 1 : z[i]}."""
     n, r = params.n, params.r
-    pos = _bernoulli_positions(rng, params.M - within.size, params.q)
     # The ranks with first vertex i + 1 form block i, and only a block with
     # z[i] holds ranks of `within`. So outside those blocks, position x is
     # rank x plus the within-Z count of the earlier blocks; inside them, it
@@ -197,21 +188,16 @@ def _ranks_outside(
     return ranks
 
 
-def _memberships(rng, params: ProblemParams) -> np.ndarray:
-    """The first step of a planted draw from `rng`: the memberships z of
-    vertices 1..n, from n uniforms."""
-    binomial_table(params.n, params.r)  # BudgetExceededError if C(n, r) >= 2^63
-    return rng.random(params.n) < params.rho
-
-
-def _planted_part(rng, params: ProblemParams) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The first two steps of a planted draw from `rng`: n membership
-    uniforms, then the ranks within Z, each present w.p. p. Returns the
-    memberships z of vertices 1..n, the ascending ranks of the r-subsets of
-    Z and the present ones among them."""
-    z = _memberships(rng, params)
-    within = within_ranks((np.flatnonzero(z) + 1).tolist(), params.n, params.r)
-    return z, within, within[_bernoulli_positions(rng, within.size, params.p)]
+def _planted_counts(rng, params: ProblemParams) -> Tuple[np.ndarray, int, int, int]:
+    """The first three steps of a planted draw from `rng`: the memberships z
+    of vertices 1..n, from n uniforms; a Binomial(m_in, p) count c_in of the
+    present edges among the m_in = C(|Z|, r) within Z; a Binomial(M - m_in, q)
+    count c_out of the present edges outside. Returns (z, m_in, c_in, c_out)."""
+    check_rank_space(params.n, params.r)
+    z = rng.random(params.n) < params.rho
+    m_in = comb(int(np.count_nonzero(z)), params.r)
+    c_in = int(rng.binomial(m_in, params.p))
+    return z, m_in, c_in, int(rng.binomial(params.M - m_in, params.q))
 
 
 def sample_null(
@@ -219,11 +205,12 @@ def sample_null(
 ) -> Hypergraph:
     """One draw of the null model: each edge present independently w.p. q.
 
-    It is the last step of a planted draw without Z: a Binomial(M, q) edge
-    count, then that many distinct ranks, in O(Mq) time.
+    A Binomial(M, q) edge count, then that many distinct ranks, in O(Mq)
+    time.
     """
-    binomial_table(params.n, params.r)  # BudgetExceededError if C(n, r) >= 2^63
-    ranks = _bernoulli_positions(child_rng(seed, *key), params.M, params.q)
+    check_rank_space(params.n, params.r)
+    rng = child_rng(seed, *key)
+    ranks = _distinct_positions(rng, int(rng.binomial(params.M, params.q)), params.M)
     return Hypergraph.from_ranks(params.n, params.r, ranks)
 
 
@@ -235,19 +222,22 @@ def sample_planted(
     Z has i.i.d. Ber(rho) memberships; given Z, edges inside Z are Ber(p) and
     all others Ber(q). One child stream is read in this order: the n
     membership uniforms; a Binomial(C(|Z|, r), p) count of the present edges
-    within Z and their positions among the within-Z ranks; a Binomial count
-    of the present edges outside Z and their positions among the other
-    ranks. A draw costs O(n + Mq + C(|Z|, r)), not O(C(n, r)). A draw
-    stopped after the within-Z step is the start of the full draw for the
-    same key, and one stopped after the outside count gives its edge count
-    (see `edge_count`).
+    within Z; a Binomial count of the present edges outside Z; the positions
+    of the within-Z edges among the within-Z ranks; the positions of the
+    others among the other ranks. A draw costs O(n + Mq + C(|Z|, r)), not
+    O(C(n, r)). A draw stopped after the two counts gives its edge count
+    (see `edge_count`), and one stopped after the within-Z positions its
+    edges within Z (see `ldlr._event_trial`).
     """
     rng = child_rng(seed, *key)
-    z, within, inside = _planted_part(rng, params)
-    ranks = np.concatenate([_ranks_outside(rng, params, z, within), inside])
+    z, m_in, c_in, c_out = _planted_counts(rng, params)
+    zs = (np.flatnonzero(z) + 1).tolist()
+    within = within_ranks(zs, params.n, params.r)
+    inside = within[_distinct_positions(rng, c_in, m_in)]
+    outside = _distinct_positions(rng, c_out, params.M - m_in)
+    ranks = np.concatenate([_ranks_outside(params, z, within, outside), inside])
     ranks.sort(kind="stable")  # merges the two ascending runs
-    Z = frozenset((np.flatnonzero(z) + 1).tolist())
-    return PlantedSample(Z, Hypergraph.from_ranks(params.n, params.r, ranks))
+    return PlantedSample(frozenset(zs), Hypergraph.from_ranks(params.n, params.r, ranks))
 
 
 def edge_count(
@@ -257,18 +247,14 @@ def edge_count(
     of `sample_planted(params, seed, key).Y`, without the draw's ranks.
 
     The same stream is read in the same order, with the same budget guard,
-    and stopped after the outside count. The within-Z positions are still
-    drawn, since the count after them depends on how much of the stream they
-    read. A planted count costs O(n + C(|Z|, r) p) and a null count O(1).
+    and stopped after the edge counts, so no position is drawn and no rank
+    table is built. A planted count costs O(n) and a null count O(1).
     """
     if planted:
-        rng = child_rng(seed, *key)
-        m_in = comb(int(np.count_nonzero(_memberships(rng, params))), params.r)
-        inside = _bernoulli_positions(rng, m_in, params.p).size
-    else:
-        binomial_table(params.n, params.r)  # BudgetExceededError if C(n, r) >= 2^63
-        rng, m_in, inside = child_rng(seed, *key), 0, 0
-    return inside + int(rng.binomial(params.M - m_in, params.q))
+        _, _, c_in, c_out = _planted_counts(child_rng(seed, *key), params)
+        return c_in + c_out
+    check_rank_space(params.n, params.r)
+    return int(child_rng(seed, *key).binomial(params.M, params.q))
 
 
 def exact_spike(params: ProblemParams) -> float:

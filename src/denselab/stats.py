@@ -12,7 +12,6 @@ import csv
 import io
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import comb, factorial
 from typing import List, Tuple, Union
@@ -288,6 +287,8 @@ def estimate_separation(
     if nworkers == 1:
         outs = list(map(_trial_batch, packed))
     else:
+        from concurrent.futures import ProcessPoolExecutor  # ~20 ms to import, so only here
+
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
             outs = list(pool.map(_trial_batch, packed))
     results = {(model, t): value for out in outs for model, t, value in out}

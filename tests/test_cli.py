@@ -463,7 +463,8 @@ def test_exponent_violation_has_one_message_everywhere(alpha, beta, gamma, capsy
 
 LDLR_EXP = ["--r", "2", "--alpha", "0.48", "--beta", "0.5", "--gamma", "0.6"]
 # sha256 prefixes of stdout, computed before the parser was reused across calls,
-# the exact LDLR sum moved to raw mpf tuples and the text format to numpy
+# the exact LDLR sum moved to raw mpf tuples and the text format to numpy; the
+# planted sample's after its stream took both edge counts before any position
 STDOUT_SHA256 = [
     (["ldlr", "--mode", "exact", "--degree", "10", "--n", "1000", *LDLR_EXP], "9a8eaeb1ab6e4637"),
     (["ldlr", "--mode", "exact", "--degree", "10", "--n", "1000", *LDLR_EXP, "--format", "csv"],
@@ -482,7 +483,7 @@ STDOUT_SHA256 = [
       "--gamma-grid", "0.5,0.55,0.6,0.65,0.7", "--n-grid", "1000,10000,100000,1000000",
       "--degree", "10"], "f2c5dea416fb1453"),
     (["sample", "--model", "planted", "--seed", "321", "--n", "1000", "--r", "2",
-      "--alpha", "0.3", "--beta", "0.5", "--gamma", "0.75"], "f9f2d4a3740a834f"),
+      "--alpha", "0.3", "--beta", "0.5", "--gamma", "0.75"], "5fcd9600ad5b97c6"),
 ]
 
 

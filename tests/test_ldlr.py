@@ -6,6 +6,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from denselab import ldlr
 from denselab.errors import BudgetExceededError, InvalidArgumentError
 from denselab.hypergraph import (
     Hypergraph,
@@ -32,10 +33,13 @@ from denselab.ldlr import (
     phi_expectation_planted_scaled,
 )
 from denselab.models import (
+    ProblemParams,
+    _planted_counts,
     derive_params,
     planted_outcomes,
     sample_planted,
 )
+from denselab.rng import child_rng
 from oracles import complete, conditional_numerators_exact_tiny, enumerate_planted_exact
 from test_acceptance import PARAM_GRID  # criterion 01's tiny grid
 
@@ -462,10 +466,41 @@ def test_ldlr_exact_matches_mpf_object_loop():
 
 
 def test_event_trial_agrees_with_event_holds_on_the_full_draw():
-    # the mc_local benchmark point; the trial stops after the within-Z step
+    # the mc_local benchmark point, where most trials stop at the edge counts
     params = derive_params(200, 2, 0.59, 0.8, 0.24)
     spec = build_conditioning_spec(params, 0.1, 10)
     verdicts = [_event_trial(params, spec, 7, (t,)) for t in range(300)]
     samples = (sample_planted(params, 7, key=(t,)) for t in range(300))
     assert verdicts == [event_holds(s.Z, s.Y, params, spec) for s in samples]
     assert 0 < sum(verdicts) < 300
+
+
+def test_event_trial_agrees_with_event_holds_where_trials_unrank():
+    # |Z| ~ Bin(100, 0.1) and p = 0.3, with m_ell = 3, 5, 6, 8, 9 for ell = 2..6
+    # (D = 9): nearly every trial has c_in >= m_2 and unranks its within-Z
+    # positions, and the verdicts split
+    params = ProblemParams(100, 2, 0.3, 0.01, 0.1)
+    spec = build_conditioning_spec(derive_params(1000, 2, 0.2, 0.5, 0.28), 0.05, 9)
+    keys = [(t,) for t in range(300)]
+    m_min = min(spec.m_table.values())
+    unranked = sum(_planted_counts(child_rng(7, *key), params)[2] >= m_min for key in keys)
+    verdicts = [_event_trial(params, spec, 7, key) for key in keys]
+    samples = (sample_planted(params, 7, key) for key in keys)
+    assert verdicts == [event_holds(s.Z, s.Y, params, spec) for s in samples]
+    assert unranked > 0.9 * len(keys)
+    assert 0 < sum(verdicts) < len(keys)
+
+
+def test_event_trial_below_the_smallest_m_ell_draws_no_positions(monkeypatch):
+    params = derive_params(200, 2, 0.59, 0.8, 0.24)  # the mc_local point
+    spec = build_conditioning_spec(params, 0.1, 10)
+    m_min = min(spec.m_table.values())
+    keys = [(t,) for t in range(300)
+            if _planted_counts(child_rng(7, t), params)[2] < m_min]
+    assert len(keys) > 250
+
+    def refuse(*args):
+        raise AssertionError("the trial drew within-Z positions")
+
+    monkeypatch.setattr(ldlr, "_distinct_positions", refuse)
+    assert all(_event_trial(params, spec, 7, key) for key in keys)

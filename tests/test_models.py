@@ -7,12 +7,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from denselab import hypergraph, models
 from denselab.errors import (
     BudgetExceededError,
     InfeasibleError,
     InvalidArgumentError,
 )
-from denselab.hypergraph import within_ranks, write_hypergraph_text
+from denselab.hypergraph import TABLE_BUDGET_VERTICES, within_ranks, write_hypergraph_text
 from denselab.models import (
     ProblemParams,
     RationalParams,
@@ -106,14 +107,15 @@ def test_planted_rate_inside_z():
 # First 16 hex digits of sha256 over the sampled bits (seed 7, planted key
 # (1, 0), null key (0, 0)) and over the planted sample's text form. They pin
 # the RNG stream of a key: the n membership uniforms, then a Binomial count
-# of the present within-Z ranks and its positions among them, then a
-# Binomial count of the other present ranks and its positions. Positions are
-# uniform integers, deduplicated, with a uniformly chosen excess dropped.
+# of the present within-Z ranks, then a Binomial count of the other present
+# ranks, then the positions of the first among the within-Z ranks and of the
+# second among the others. Positions are uniform integers, deduplicated,
+# with a uniformly chosen excess dropped.
 GOLDEN_SAMPLES = [
-    ((600, 2, 0.3, 0.5, 0.75), "f8f4a2719e5092b7", "15e39c69ed841b49", "9a5015595b045d52"),
-    ((300, 2, 0.3, 0.5, 0.75), "6d8f0a815cd21d0b", "dc016483eeac546e", "4f457e4615000688"),
-    ((60, 3, 0.3, 0.9, 0.75), "af7ff989f5c48f0a", "7d135ce4cd572655", "dfadb44dc22970a3"),
-    ((24, 4, 0.5, 2.5, 0.8), "c28d8a8b889f5c43", "58f798af85bf75eb", "0ffd94049e1b5cdc"),
+    ((600, 2, 0.3, 0.5, 0.75), "68754d05b1e5518e", "15e39c69ed841b49", "d7b6ddf51008d716"),
+    ((300, 2, 0.3, 0.5, 0.75), "f16a8b74cc4b47bf", "dc016483eeac546e", "a1372bc4895e6f7f"),
+    ((60, 3, 0.3, 0.9, 0.75), "515d64541ddf99d2", "7d135ce4cd572655", "157b8d29ff44cd01"),
+    ((24, 4, 0.5, 2.5, 0.8), "662d5d5911324aa9", "58f798af85bf75eb", "37a232b3bd23413e"),
 ]
 
 
@@ -265,13 +267,35 @@ def test_edge_count_is_the_sampled_count(pp, branch):
 
 
 def test_edge_count_raises_the_samplers_budget_error():
-    pp = derive_params(2_000_000, 1_000_000, 0.3, 0.5, 0.75)
-    for planted, sampler in ((False, sample_null), (True, sample_planted)):
-        with pytest.raises(BudgetExceededError) as expected:
-            sampler(pp, 1)
-        with pytest.raises(BudgetExceededError) as raised:
-            edge_count(pp, 1, planted=planted)
-        assert str(raised.value) == str(expected.value)
+    for (n, r), message in (
+        ((TABLE_BUDGET_VERTICES + 1, 2),
+         "n=1048577 exceeds the 1048576-vertex budget of the rank table"),
+        ((2_000_000, 1_000_000),
+         "C(2000000, 1000000) ~ 10^602056.7 edges do not fit in int64 ranks (limit 2^63)"),
+    ):
+        pp = derive_params(n, r, 0.3, 0.5, 0.75)
+        for planted, sampler in ((False, sample_null), (True, sample_planted)):
+            with pytest.raises(BudgetExceededError) as expected:
+                sampler(pp, 1)
+            with pytest.raises(BudgetExceededError) as raised:
+                edge_count(pp, 1, planted=planted)
+            assert str(raised.value) == str(expected.value) == message
+
+
+def test_edge_count_draws_no_positions_and_builds_no_table(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("edge_count drew positions or built the rank table")
+
+    for args in ((2048, 2, 0.3, 0.5, 0.75), (160, 3, 0.3, 0.9, 0.75)):  # mc_edge's two sets
+        pp = derive_params(*args)
+        keys = [(model, t) for model in (0, 1) for t in range(10)]
+        want = [sample_planted(pp, 11, key).Y.edge_count if key[0] else
+                sample_null(pp, 11, key).edge_count for key in keys]
+        with monkeypatch.context() as m:
+            for target in (models, hypergraph):
+                m.setattr(target, "binomial_table", refuse)
+            m.setattr(models, "_distinct_positions", refuse)
+            assert [edge_count(pp, 11, key, planted=bool(key[0])) for key in keys] == want
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])

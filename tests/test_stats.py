@@ -1,5 +1,8 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -206,6 +209,18 @@ def test_estimate_separation_worker_independence(monkeypatch):
     monkeypatch.setenv("DENSELAB_WORKERS", "3")
     parallel = estimate_separation(pp, "edge", 24, 5)
     assert serial == parallel
+
+
+def test_serial_separation_leaves_the_process_pool_unimported():
+    env = {k: v for k, v in os.environ.items() if k != "DENSELAB_WORKERS"}
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, denselab\n"
+         "pp = denselab.derive_params(16, 2, 0.25, 0.5, 0.6)\n"
+         "denselab.estimate_separation(pp, 'edge', 4, 5)\n"
+         "assert 'concurrent.futures.process' not in sys.modules"],
+        capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
 
 
 def test_separation_null_vs_null_via_hook():

@@ -24,7 +24,7 @@ from .errors import (
     InvalidArgumentError,
     RegimeError,
 )
-from .hypergraph import parse_hypergraph_text, write_hypergraph_text
+from .hypergraph import check_class_budget, parse_hypergraph_text, write_hypergraph_text
 from .ldlr import (
     build_conditioning_spec,
     conditional_ldlr_exact_tiny,
@@ -224,6 +224,8 @@ def cmd_phase_diagram(args: argparse.Namespace) -> int:
         _require(args, "seed")
         if args.seed < 0:
             raise InvalidArgumentError(f"--seed {args.seed} must be >= 0")
+    if degree < 0 or args.r >= 2:  # as the first valid grid point would
+        check_class_budget(args.r, degree)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(

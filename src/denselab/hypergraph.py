@@ -240,6 +240,19 @@ def count_subgraph_class(n: int, ell: int, m: int, r: int) -> int:
 LDLR_CLASS_BUDGET = 20_000
 
 
+def check_class_budget(r: int, D: int) -> None:
+    """The argument checks of `class_table(r, D)`, without building it."""
+    if r < 1 or D < 0:
+        raise InvalidArgumentError(f"r >= 1 and D >= 0 required, got r={r}, D={D}")
+    # ceil(ell/r) = 1 only at ell = r, and = k at the r values (k-1)r < ell <= kr
+    size = D + r * D * (D - 1) // 2
+    if size > LDLR_CLASS_BUDGET:
+        raise BudgetExceededError(
+            f"degree {D} at r={r} needs {size} (ell, m) classes, over the budget of "
+            f"{LDLR_CLASS_BUDGET}; lower --degree"
+        )
+
+
 @functools.lru_cache(maxsize=8)
 def class_table(r: int, D: int) -> Mapping[Tuple[int, int], int]:
     """Read-only map (ell, m) -> count_isolated_free_edge_sets(ell, m, r) for
@@ -252,15 +265,7 @@ def class_table(r: int, D: int) -> Mapping[Tuple[int, int], int]:
     with C(ell - j, r) >= m, the others being 0. Raises BudgetExceededError
     when the table would exceed LDLR_CLASS_BUDGET (ell, m) pairs.
     """
-    if r < 1 or D < 0:
-        raise InvalidArgumentError(f"r >= 1 and D >= 0 required, got r={r}, D={D}")
-    # ceil(ell/r) = 1 only at ell = r, and = k at the r values (k-1)r < ell <= kr
-    size = D + r * D * (D - 1) // 2
-    if size > LDLR_CLASS_BUDGET:
-        raise BudgetExceededError(
-            f"degree {D} at r={r} needs {size} (ell, m) classes, over the budget of "
-            f"{LDLR_CLASS_BUDGET}; lower --degree"
-        )
+    check_class_budget(r, D)
     # cols[m][k] = C(C(k, r), m), by C(N, m) = C(N, m - 1) (N - m + 1) / m
     sizes = [comb(k, r) for k in range(r * D + 1)]
     cols: List[List[int]] = [[1] * len(sizes)]

@@ -38,11 +38,9 @@ from .hypergraph import (
 from .models import (
     ProblemParams,
     RationalParams,
-    _distinct_positions,
-    _planted_counts,
     planted_outcomes,
+    within_z_edges,
 )
-from .rng import child_rng
 
 # Powers of rho^2 and w2 are truncated to mantissas of at least this many bits.
 MANT_BITS = 192
@@ -345,21 +343,12 @@ def event_holds(
 def _event_trial(
     params: ProblemParams, spec: ConditioningSpec, seed: int, key: Sequence[int]
 ) -> bool:
-    """event_holds on sample_planted(params, seed, key), from the start of
-    that draw alone: E depends only on Z and the edges within Z.
-
-    With fewer edges within Z than the smallest m_ell no witness exists, so
-    the trial stops at the two edge counts. Otherwise it draws the within-Z
-    positions and unranks them among the r-subsets of sorted Z, whose
-    lexicographic order is that of their ranks in K_n^r.
-    """
-    rng = child_rng(seed, *key)
-    z, m_in, c_in, _ = _planted_counts(rng, params)
-    if c_in < min(spec.m_table.values(), default=math.inf):
-        return True
-    zs = np.flatnonzero(z) + 1
-    present = zs[unrank_edges(_distinct_positions(rng, c_in, m_in), zs.size, params.r) - 1]
-    return not _dense_subset_exists(present.tolist(), spec)
+    """event_holds on sample_planted(params, seed, key), from the draw's
+    edges within Z alone: E depends only on those, up to relabelling. With
+    fewer of them than the smallest m_ell no witness exists, so the trial
+    draws no position then."""
+    present = within_z_edges(params, seed, key, min(spec.m_table.values(), default=math.inf))
+    return present is None or not _dense_subset_exists(present.tolist(), spec)
 
 
 @dataclass(frozen=True)

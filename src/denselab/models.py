@@ -19,7 +19,7 @@ from typing import Callable, FrozenSet, Iterator, List, Optional, Sequence, Tupl
 import numpy as np
 
 from .errors import BudgetExceededError, InfeasibleError, InvalidArgumentError
-from .hypergraph import Edge, Hypergraph, binomial_table, check_rank_space, within_ranks
+from .hypergraph import Edge, Hypergraph, check_rank_space, unrank_edges, within_ranks
 from .rng import child_rng
 
 
@@ -127,12 +127,12 @@ class AuxPlantedParams:
     u: np.ndarray  # length-n vector of standardized memberships
 
 
-_NO_RANKS = np.empty(0, dtype=np.int64)
 AUX_PAIR_BUDGET = 2 ** 25  # vertex pairs of one dense auxiliary draw
 
 
 def _sorted_distinct(values: np.ndarray) -> np.ndarray:
-    """The distinct values of an array, ascending; sorts `values` in place."""
+    """The distinct values of an array, ascending; sorts `values` in place.
+    np.unique gives the same, but took 20-60x longer under numpy 2.4."""
     values.sort()
     keep = np.ones(values.size, dtype=bool)
     np.not_equal(values[1:], values[:-1], out=keep[1:])
@@ -153,7 +153,7 @@ def _distinct_positions(rng, k: int, m: int) -> np.ndarray:
         keep[_distinct_positions(rng, m - k, m)] = False
         return np.flatnonzero(keep)
     if not k:
-        return _NO_RANKS
+        return np.empty(0, dtype=np.int64)
     repeats = max(0.0, -m * math.log1p(-k / m) - k)  # expected repeated draws
     pos = _sorted_distinct(rng.integers(0, m, k + int(repeats + 3 * math.sqrt(repeats)) + 1))
     while pos.size < k:
@@ -161,31 +161,6 @@ def _distinct_positions(rng, k: int, m: int) -> np.ndarray:
     keep = np.ones(pos.size, dtype=bool)
     keep[rng.choice(pos.size, pos.size - k, replace=False)] = False
     return pos[keep]
-
-
-def _ranks_outside(
-    params: ProblemParams, z: np.ndarray, within: np.ndarray, pos: np.ndarray
-) -> np.ndarray:
-    """The ranks at the ascending positions `pos` among the ranks outside
-    `within`, the sorted ranks of the r-subsets of Z = {i + 1 : z[i]}."""
-    n, r = params.n, params.r
-    # The ranks with first vertex i + 1 form block i, and only a block with
-    # z[i] holds ranks of `within`. So outside those blocks, position x is
-    # rank x plus the within-Z count of the earlier blocks; inside them, it
-    # is rank x plus the number of j with within[j] - j <= x.
-    table = binomial_table(n, r)
-    z_before = np.concatenate(([0], np.cumsum(z)))  # members of Z below vertex i + 1
-    w_before = table[z_before[-1], r] - table[z_before[-1] - z_before, r]
-    bounds = np.searchsorted(pos, table[n, r] - table[n - np.arange(n + 1), r] - w_before)
-    counts = bounds[1:] - bounds[:-1]
-    ranks = np.repeat(w_before[:-1], counts)
-    ranks += pos
-    in_z = np.repeat(z, counts)
-    hit = pos[in_z]
-    skipped = np.arange(within.size)
-    np.subtract(within, skipped, out=skipped)
-    ranks[in_z] = hit + np.searchsorted(skipped, hit, side="right")
-    return ranks
 
 
 def _planted_counts(rng, params: ProblemParams) -> Tuple[np.ndarray, int, int, int]:
@@ -224,10 +199,10 @@ def sample_planted(
     membership uniforms; a Binomial(C(|Z|, r), p) count of the present edges
     within Z; a Binomial count of the present edges outside Z; the positions
     of the within-Z edges among the within-Z ranks; the positions of the
-    others among the other ranks. A draw costs O(n + Mq + C(|Z|, r)), not
-    O(C(n, r)). A draw stopped after the two counts gives its edge count
-    (see `edge_count`), and one stopped after the within-Z positions its
-    edges within Z (see `ldlr._event_trial`).
+    others among the other ranks. A draw costs
+    O(n + Mq log C(|Z|, r) + C(|Z|, r)), not O(C(n, r)). A draw stopped after
+    the two counts gives its edge count (see `edge_count`), and one stopped
+    after the within-Z positions its edges within Z (see `within_z_edges`).
     """
     rng = child_rng(seed, *key)
     z, m_in, c_in, c_out = _planted_counts(rng, params)
@@ -235,7 +210,10 @@ def sample_planted(
     within = within_ranks(zs, params.n, params.r)
     inside = within[_distinct_positions(rng, c_in, m_in)]
     outside = _distinct_positions(rng, c_out, params.M - m_in)
-    ranks = np.concatenate([_ranks_outside(params, z, within, outside), inside])
+    # outside position x is rank x plus the number of j with within[j] - j <= x,
+    # the within-Z ranks below that rank
+    outside = outside + np.searchsorted(within - np.arange(within.size), outside, side="right")
+    ranks = np.concatenate([outside, inside])
     ranks.sort(kind="stable")  # merges the two ascending runs
     return PlantedSample(frozenset(zs), Hypergraph.from_ranks(params.n, params.r, ranks))
 
@@ -255,6 +233,23 @@ def edge_count(
         return c_in + c_out
     check_rank_space(params.n, params.r)
     return int(child_rng(seed, *key).binomial(params.M, params.q))
+
+
+def within_z_edges(
+    params: ProblemParams, seed: int, key: Sequence[int] = (), at_least: float = 0
+) -> Optional[np.ndarray]:
+    """The edges within Z of `sample_planted(params, seed, key)`, in rank
+    order, as a (K, r) array over the labels 1..|Z| of sorted Z: the stream
+    read only up to the within-Z positions, which are unranked among the
+    r-subsets of 1..|Z|. None, with no position drawn, when K < `at_least`.
+    """
+    rng = child_rng(seed, *key)
+    z, m_in, c_in, _ = _planted_counts(rng, params)
+    if c_in < at_least:
+        return None
+    if not m_in:  # |Z| < r: no r-subset to unrank among
+        return np.empty((0, params.r), dtype=np.int64)
+    return unrank_edges(_distinct_positions(rng, c_in, m_in), int(np.count_nonzero(z)), params.r)
 
 
 def exact_spike(params: ProblemParams) -> float:

@@ -294,6 +294,9 @@ COND = ["ldlr", "--mode", "conditional", "--degree", "3", "--n", "4", "--r", "2"
         GRID + ["--alpha-grid", "0.7", "--gamma-grid", "0.6", "--n-grid", "32",
                 "--trials", "3", "--seed", "-1"],
         GRID + ["--alpha-grid", ",", "--gamma-grid", "0.6", "--n-grid", "100"],
+        GRID[:-1] + ["-1", "--alpha-grid", "0.7", "--gamma-grid", "0.6", "--n-grid", "32"],
+        ["phase-diagram", "--r", "1", "--beta", "0.5", "--degree", "-1", "--alpha-grid",
+         "0.2", "--gamma-grid", "0.6", "--n-grid", "32"],
     ],
     ids=["config-value", "config-missing", "input-missing", "input-directory",
          "input-binary", "motif-file-missing", "alpha-grid", "gamma-grid", "n-grid",
@@ -303,7 +306,8 @@ COND = ["ldlr", "--mode", "conditional", "--degree", "3", "--n", "4", "--r", "2"
          "motif-file-vertex-past-int64", "motif-file-float-vertex", "motif-file-float-n",
          "motif-file-float-r", "phase-diagram-trials-negative",
          "phase-diagram-trials-without-seed", "phase-diagram-seed-negative",
-         "phase-diagram-empty-grid"],
+         "phase-diagram-empty-grid", "phase-diagram-degree-negative",
+         "phase-diagram-degree-negative-r-1"],
 )
 def test_bad_cli_input_exits_2_without_traceback(argv, tmp_path):
     cfg = tmp_path / "cfg"
@@ -356,8 +360,12 @@ def test_degree_over_class_budget_exits_3_without_traceback(argv):
         ["test", "--stat", "edge", "--trials", "4", "--seed", "1", "--n", "2000000",
          "--r", "1000000"],
         ["ldlr", "--mode", "bruteforce", "--degree", "100000000", "--n", "100", "--r", "2"],
+        # alpha 0.7 > beta 0.5: every grid point is invalid
+        ["phase-diagram", "--r", "2", "--degree", "500", "--alpha-grid", "0.7",
+         "--gamma-grid", "0.6", "--n-grid", "32"],
     ],
-    ids=["aux-pairs", "sample-huge-r", "test-huge-r", "bruteforce-huge-degree"],
+    ids=["aux-pairs", "sample-huge-r", "test-huge-r", "bruteforce-huge-degree",
+         "phase-diagram-degree-over-budget"],
 )
 def test_sample_over_budget_exits_3_at_once(argv):
     # C(2e6, 1e6) takes seconds to form, and a full sum of C(4950, d) over

@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from denselab import ldlr
+from denselab import models
 from denselab.errors import BudgetExceededError, InvalidArgumentError
 from denselab.hypergraph import (
     Hypergraph,
@@ -502,5 +502,5 @@ def test_event_trial_below_the_smallest_m_ell_draws_no_positions(monkeypatch):
     def refuse(*args):
         raise AssertionError("the trial drew within-Z positions")
 
-    monkeypatch.setattr(ldlr, "_distinct_positions", refuse)
+    monkeypatch.setattr(models, "_distinct_positions", refuse)
     assert all(_event_trial(params, spec, 7, key) for key in keys)

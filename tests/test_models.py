@@ -13,11 +13,18 @@ from denselab.errors import (
     InfeasibleError,
     InvalidArgumentError,
 )
-from denselab.hypergraph import TABLE_BUDGET_VERTICES, within_ranks, write_hypergraph_text
+from denselab.hypergraph import (
+    TABLE_BUDGET_VERTICES,
+    unrank_edges,
+    within_ranks,
+    write_hypergraph_text,
+)
 from denselab.models import (
     ProblemParams,
     RationalParams,
+    _distinct_positions,
     _inner_product_moments,
+    _planted_counts,
     aux_edge_probabilities,
     aux_ldlr_upper_bound,
     derive_params,
@@ -27,6 +34,7 @@ from denselab.models import (
     sample_null,
     sample_planted,
     validate_aux_feasible,
+    within_z_edges,
 )
 from denselab.rng import child_rng
 from oracles import (
@@ -292,10 +300,60 @@ def test_edge_count_draws_no_positions_and_builds_no_table(monkeypatch):
         want = [sample_planted(pp, 11, key).Y.edge_count if key[0] else
                 sample_null(pp, 11, key).edge_count for key in keys]
         with monkeypatch.context() as m:
-            for target in (models, hypergraph):
-                m.setattr(target, "binomial_table", refuse)
+            m.setattr(hypergraph, "binomial_table", refuse)
             m.setattr(models, "_distinct_positions", refuse)
             assert [edge_count(pp, 11, key, planted=bool(key[0])) for key in keys] == want
+
+
+def test_outside_positions_map_to_the_ranks_outside_z():
+    # the stream re-read up to the outside positions; the outside ranks of the
+    # draw are those positions taken in the ascending ranks that are not within Z
+    seen = set()
+    for n, r, p, q, rho in ((12, 2, 0.5, 0.3, 0.5), (10, 3, 0.6, 0.2, 0.3),
+                            (9, 4, 0.5, 0.6, 0.5), (8, 3, 0.5, 0.2, 1 - 1e-9),
+                            (12, 3, 0.4, 0.7, 0.2)):
+        pp = ProblemParams(n, r, p, q, rho)
+        for t in range(200):
+            rng = child_rng(5, t)
+            z, m_in, c_in, c_out = _planted_counts(rng, pp)
+            _distinct_positions(rng, c_in, m_in)
+            positions = _distinct_positions(rng, c_out, pp.M - m_in)
+            s = sample_planted(pp, 5, (t,))
+            within = within_ranks(s.Z, n, r)
+            assert np.array_equal(np.setdiff1d(s.Y.ranks, within),
+                                  np.setdiff1d(np.arange(pp.M), within)[positions])
+            seen.add("z-below-r" if len(s.Z) < r else "z-all" if len(s.Z) == n else "other")
+            if 2 * c_out > pp.M - m_in:
+                seen.add("complement")  # the absent positions were drawn
+    assert seen == {"z-below-r", "z-all", "other", "complement"}
+
+
+def test_within_z_edges_are_the_draws_edges_within_z():
+    # the point of test_event_trial_agrees_with_event_holds_where_trials_unrank
+    # (smallest m_ell 3), and one where |Z| < r is common
+    for pp, at_least in ((ProblemParams(100, 2, 0.3, 0.01, 0.1), 3),
+                         (ProblemParams(6, 3, 0.5, 0.3, 0.3), 1)):
+        outcomes = set()
+        for t in range(300):
+            s = sample_planted(pp, 7, (t,))
+            zs = np.array(sorted(s.Z), dtype=np.int64)
+            ranks = np.intersect1d(s.Y.ranks, within_ranks(zs, pp.n, pp.r))
+            want = np.searchsorted(zs, unrank_edges(ranks, pp.n, pp.r)) + 1
+            assert np.array_equal(within_z_edges(pp, 7, (t,)), want.reshape(-1, pp.r))
+            got = within_z_edges(pp, 7, (t,), at_least)
+            assert (got is None) == (ranks.size < at_least)
+            assert got is None or np.array_equal(got, want)
+            outcomes.add(got is None)
+        assert outcomes == {True, False}
+
+
+def test_empty_draws_share_no_array():
+    # from_ranks makes its argument read-only without copying
+    pp = ProblemParams(10, 2, 0.5, 1e-300, 0.5)
+    first, second, third = (sample_null(pp, 1, (t,)) for t in range(3))
+    assert first.edge_count == second.edge_count == third.edge_count == 0
+    assert second.ranks is not third.ranks
+    assert _distinct_positions(child_rng(1), 0, pp.M).flags.writeable
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])

@@ -39,7 +39,7 @@ from .models import (
     ProblemParams,
     RationalParams,
     planted_outcomes,
-    within_z_edges,
+    within_z_edge_draws,
 )
 
 # Powers of rho^2 and w2 are truncated to mantissas of at least this many bits.
@@ -340,17 +340,6 @@ def event_holds(
     return not _dense_subset_exists(present.tolist(), spec)
 
 
-def _event_trial(
-    params: ProblemParams, spec: ConditioningSpec, seed: int, key: Sequence[int]
-) -> bool:
-    """event_holds on sample_planted(params, seed, key), from the draw's
-    edges within Z alone: E depends only on those, up to relabelling. With
-    fewer of them than the smallest m_ell no witness exists, so the trial
-    draws no position then."""
-    present = within_z_edges(params, seed, key, min(spec.m_table.values(), default=math.inf))
-    return present is None or not _dense_subset_exists(present.tolist(), spec)
-
-
 @dataclass(frozen=True)
 class EventProbability:
     value: float
@@ -361,9 +350,26 @@ class EventProbability:
 def estimate_event_probability(
     params: ProblemParams, spec: ConditioningSpec, trials: int, seed: int
 ) -> EventProbability:
+    """Monte Carlo estimate of P(E) under the planted law.
+
+    E depends on a draw only through its edges within Z, up to relabelling,
+    and every witness S has (|V(S)|, |S|) in the index set, so a trial with
+    fewer within-Z edges than the smallest m there holds E without drawing
+    positions; with I empty no trial draws any. All trials come from one
+    `within_z_edge_draws` call, which reads one stream in this order: every
+    |Z|, every within-Z count, then the positions of the trials that reach
+    that m. The cost is O(trials) plus those trials' positions and subset
+    checks, independent of n, and the result is a pure function of
+    (params, spec, trials, seed).
+    """
     if trials < 1:
         raise InvalidArgumentError("trials >= 1 required")
-    hits = sum(_event_trial(params, spec, seed, (t,)) for t in range(trials))
+    at_least = min((m for _, m in spec.index_set), default=math.inf)
+    draws = within_z_edge_draws(params, seed, trials, at_least)
+    hits = sum(
+        present is None or not _dense_subset_exists(present.tolist(), spec)
+        for _, present in draws
+    )
     freq = hits / trials
     se = math.sqrt(freq * (1.0 - freq) / trials)
     return EventProbability(value=freq, std_error=se, trials=trials)

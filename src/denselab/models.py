@@ -201,8 +201,9 @@ def sample_planted(
     of the within-Z edges among the within-Z ranks; the positions of the
     others among the other ranks. A draw costs
     O(n + Mq log C(|Z|, r) + C(|Z|, r)), not O(C(n, r)). A draw stopped after
-    the two counts gives its edge count (see `edge_count`), and one stopped
-    after the within-Z positions its edges within Z (see `within_z_edges`).
+    the two counts gives its edge count (see `edge_count`). Event trials need
+    only a draw's planted part, up to relabelling, and draw it in batches
+    from a stream of their own (see `within_z_edge_draws`).
     """
     rng = child_rng(seed, *key)
     z, m_in, c_in, c_out = _planted_counts(rng, params)
@@ -235,21 +236,39 @@ def edge_count(
     return int(child_rng(seed, *key).binomial(params.M, params.q))
 
 
-def within_z_edges(
-    params: ProblemParams, seed: int, key: Sequence[int] = (), at_least: float = 0
-) -> Optional[np.ndarray]:
-    """The edges within Z of `sample_planted(params, seed, key)`, in rank
-    order, as a (K, r) array over the labels 1..|Z| of sorted Z: the stream
-    read only up to the within-Z positions, which are unranked among the
-    r-subsets of 1..|Z|. None, with no position drawn, when K < `at_least`.
+def within_z_edge_draws(
+    params: ProblemParams, seed: int, trials: int, at_least: float = 0
+) -> List[Tuple[int, Optional[np.ndarray]]]:
+    """The planted parts of `trials` planted draws, as (|Z|, edges) pairs:
+    edges is a (K, r) array, in rank order, of the edges within Z over the
+    labels 1..|Z| of sorted Z, or None, with no position drawn, when
+    K < `at_least`.
+
+    One child stream is read in this order: every |Z| as one
+    Binomial(n, rho) vector, the same law as n Ber(rho) memberships; every
+    within-Z count as one Binomial(C(|Z|, r), p) vector; then, in trial
+    order and only for the trials whose count reaches `at_least`, the
+    within-Z positions. No outside count is drawn and no C(n, r)-sized
+    count is formed, so n may exceed the rank-table budget as long as every
+    C(|Z|, r) fits in int64.
     """
-    rng = child_rng(seed, *key)
-    z, m_in, c_in, _ = _planted_counts(rng, params)
-    if c_in < at_least:
-        return None
-    if not m_in:  # |Z| < r: no r-subset to unrank among
-        return np.empty((0, params.r), dtype=np.int64)
-    return unrank_edges(_distinct_positions(rng, c_in, m_in), int(np.count_nonzero(z)), params.r)
+    n, r = params.n, params.r
+    if n >= 1 << 63:
+        raise BudgetExceededError(f"n={n} does not fit in int64 (limit 2^63)")
+    rng = child_rng(seed)
+    sizes = rng.binomial(n, params.rho, size=trials).tolist()
+    check_rank_space(max(max(sizes, default=0), r), r)
+    m_in = [comb(k, r) for k in sizes]
+    counts = rng.binomial(m_in, params.p).tolist()
+    draws = []
+    for k, m, c in zip(sizes, m_in, counts):
+        if c < at_least:
+            draws.append((k, None))
+        elif not m:  # |Z| < r: no r-subset to unrank among
+            draws.append((k, np.empty((0, r), dtype=np.int64)))
+        else:
+            draws.append((k, unrank_edges(_distinct_positions(rng, c, m), k, r)))
+    return draws
 
 
 def exact_spike(params: ProblemParams) -> float:

@@ -270,7 +270,7 @@ def test_criterion_08_conditioning_machinery():
     for n in (50, 100, 200):
         ppn = derive_params(n, 2, 0.59, 0.8, 0.24)
         spec_n = build_conditioning_spec(ppn, 0.1, 10)
-        trend.append(estimate_event_probability(ppn, spec_n, 2000, 42).value)
+        trend.append(estimate_event_probability(ppn, spec_n, 50_000, 42).value)
     trend_ok = trend == sorted(trend) and trend[-1] >= 0.9
 
     ok = eq_ok and pe_ok and bounds_ok and trend_ok

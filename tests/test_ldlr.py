@@ -1,6 +1,7 @@
 import itertools
 import math
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
@@ -22,7 +23,6 @@ from denselab.ldlr import (
     LdlrResult,
     _dense_subset_exists,
     _enumerate_conditional_numerators,
-    _event_trial,
     build_conditioning_spec,
     conditional_ldlr_exact_tiny,
     conditional_term_bound,
@@ -34,12 +34,10 @@ from denselab.ldlr import (
 )
 from denselab.models import (
     ProblemParams,
-    _planted_counts,
     derive_params,
     planted_outcomes,
-    sample_planted,
+    within_z_edge_draws,
 )
-from denselab.rng import child_rng
 from oracles import complete, conditional_numerators_exact_tiny, enumerate_planted_exact
 from test_acceptance import PARAM_GRID  # criterion 01's tiny grid
 
@@ -465,42 +463,52 @@ def test_ldlr_exact_matches_mpf_object_loop():
             assert res.to_json() == want.to_json()
 
 
-def test_event_trial_agrees_with_event_holds_on_the_full_draw():
-    # the mc_local benchmark point, where most trials stop at the edge counts
-    params = derive_params(200, 2, 0.59, 0.8, 0.24)
-    spec = build_conditioning_spec(params, 0.1, 10)
-    verdicts = [_event_trial(params, spec, 7, (t,)) for t in range(300)]
-    samples = (sample_planted(params, 7, key=(t,)) for t in range(300))
-    assert verdicts == [event_holds(s.Z, s.Y, params, spec) for s in samples]
-    assert 0 < sum(verdicts) < 300
+@pytest.mark.parametrize("exps, delta, D", [
+    ((4, 2, 0.45, 0.6, 0.3), 0.1, 3),
+    ((4, 2, 0.4, 0.9, 0.3), 0.05, 6),
+    ((4, 3, 0.5, 1.5, 0.3), 0.1, 4),
+    ((3, 2, 0.3, 0.5, 0.2), 0.1, 3),
+])
+def test_event_probability_matches_exact_p_event(exps, delta, D):
+    pp = derive_params(*exps)
+    spec = build_conditioning_spec(pp, delta, D)
+    p_event = float(conditional_ldlr_exact_tiny(pp, spec).p_event)
+    assert p_event < 1
+    trials = 40_000
+    est = estimate_event_probability(pp, spec, trials, 11)
+    assert abs(est.value - p_event) <= 4 * math.sqrt(p_event * (1 - p_event) / trials)
 
 
-def test_event_trial_agrees_with_event_holds_where_trials_unrank():
+def test_event_draw_verdicts_match_event_holds():
     # |Z| ~ Bin(100, 0.1) and p = 0.3, with m_ell = 3, 5, 6, 8, 9 for ell = 2..6
-    # (D = 9): nearly every trial has c_in >= m_2 and unranks its within-Z
-    # positions, and the verdicts split
+    # (D = 9), so the smallest m of the index set is 6 = C(4, 2): most trials
+    # reach it and unrank their within-Z positions, and the verdicts split
     params = ProblemParams(100, 2, 0.3, 0.01, 0.1)
     spec = build_conditioning_spec(derive_params(1000, 2, 0.2, 0.5, 0.28), 0.05, 9)
-    keys = [(t,) for t in range(300)]
-    m_min = min(spec.m_table.values())
-    unranked = sum(_planted_counts(child_rng(7, *key), params)[2] >= m_min for key in keys)
-    verdicts = [_event_trial(params, spec, 7, key) for key in keys]
-    samples = (sample_planted(params, 7, key) for key in keys)
-    assert verdicts == [event_holds(s.Z, s.Y, params, spec) for s in samples]
-    assert unranked > 0.9 * len(keys)
-    assert 0 < sum(verdicts) < len(keys)
+    at_least = min(m for _, m in spec.index_set)
+    assert at_least == 6
+    draws = within_z_edge_draws(params, 7, 300, at_least)
+    verdicts = []
+    for k, edges in draws:
+        if edges is None:
+            verdicts.append(True)
+            continue
+        Y = Hypergraph(k, 2, edges.tolist())
+        verdicts.append(event_holds(frozenset(range(1, k + 1)), Y, replace(params, n=k), spec))
+    assert sum(edges is not None for _, edges in draws) > 0.75 * len(draws)
+    assert 0 < sum(verdicts) < len(draws)
+    assert estimate_event_probability(params, spec, 300, 7).value == sum(verdicts) / 300
 
 
-def test_event_trial_below_the_smallest_m_ell_draws_no_positions(monkeypatch):
-    params = derive_params(200, 2, 0.59, 0.8, 0.24)  # the mc_local point
-    spec = build_conditioning_spec(params, 0.1, 10)
-    m_min = min(spec.m_table.values())
-    keys = [(t,) for t in range(300)
-            if _planted_counts(child_rng(7, t), params)[2] < m_min]
-    assert len(keys) > 250
+def test_event_probability_with_empty_index_set_draws_no_position(monkeypatch):
+    # p = 0.3 on |Z| ~ 10 puts ~13 edges within Z, but with I empty no edge
+    # set is a witness
+    params = ProblemParams(100, 2, 0.3, 0.01, 0.1)
+    spec = build_conditioning_spec(derive_params(6, 2, 0.45, 0.6, 0.3), 0.1, 2)
+    assert spec.index_set == frozenset()
 
     def refuse(*args):
         raise AssertionError("the trial drew within-Z positions")
 
     monkeypatch.setattr(models, "_distinct_positions", refuse)
-    assert all(_event_trial(params, spec, 7, key) for key in keys)
+    assert estimate_event_probability(params, spec, 300, 7).value == 1.0

@@ -15,7 +15,6 @@ from denselab.errors import (
 )
 from denselab.hypergraph import (
     TABLE_BUDGET_VERTICES,
-    unrank_edges,
     within_ranks,
     write_hypergraph_text,
 )
@@ -34,7 +33,7 @@ from denselab.models import (
     sample_null,
     sample_planted,
     validate_aux_feasible,
-    within_z_edges,
+    within_z_edge_draws,
 )
 from denselab.rng import child_rng
 from oracles import (
@@ -328,23 +327,58 @@ def test_outside_positions_map_to_the_ranks_outside_z():
     assert seen == {"z-below-r", "z-all", "other", "complement"}
 
 
-def test_within_z_edges_are_the_draws_edges_within_z():
-    # the point of test_event_trial_agrees_with_event_holds_where_trials_unrank
-    # (smallest m_ell 3), and one where |Z| < r is common
-    for pp, at_least in ((ProblemParams(100, 2, 0.3, 0.01, 0.1), 3),
-                         (ProblemParams(6, 3, 0.5, 0.3, 0.3), 1)):
-        outcomes = set()
-        for t in range(300):
-            s = sample_planted(pp, 7, (t,))
-            zs = np.array(sorted(s.Z), dtype=np.int64)
-            ranks = np.intersect1d(s.Y.ranks, within_ranks(zs, pp.n, pp.r))
-            want = np.searchsorted(zs, unrank_edges(ranks, pp.n, pp.r)) + 1
-            assert np.array_equal(within_z_edges(pp, 7, (t,)), want.reshape(-1, pp.r))
-            got = within_z_edges(pp, 7, (t,), at_least)
-            assert (got is None) == (ranks.size < at_least)
-            assert got is None or np.array_equal(got, want)
-            outcomes.add(got is None)
-        assert outcomes == {True, False}
+@pytest.mark.parametrize("n, r, p, rho", [(4, 2, 0.5, 0.5), (5, 3, 0.5, 0.6)])
+def test_within_z_edge_draws_joint_law_matches_exact(n, r, p, rho):
+    # the exact law of (|Z|, edges within Z over the labels 1..|Z|): |Z| is
+    # Binomial(n, rho) and, given it, each r-subset is present w.p. p
+    trials = 40_000
+    draws = within_z_edge_draws(ProblemParams(n, r, p, 0.1, rho), 13, trials)
+    observed = Counter((k, tuple(map(tuple, e.tolist()))) for k, e in draws)
+    expected = {}
+    for k in range(n + 1):
+        p_k = math.comb(n, k) * rho ** k * (1 - rho) ** (n - k)
+        subsets = list(itertools.combinations(range(1, k + 1), r))
+        for bits in itertools.product((0, 1), repeat=len(subsets)):
+            edges = tuple(e for e, b in zip(subsets, bits) if b)
+            pr = p_k * p ** len(edges) * (1 - p) ** (len(subsets) - len(edges))
+            expected[k, edges] = trials * pr
+    assert not chi_square_exceeds(observed, expected)
+
+
+@pytest.mark.parametrize("params, at_least", [
+    (derive_params(200, 2, 0.59, 0.8, 0.24), 2),  # the mc_local point
+    (ProblemParams(100, 2, 0.3, 0.01, 0.1), 3),
+    (ProblemParams(6, 3, 0.5, 0.3, 0.3), 1),  # |Z| < r is common
+])
+def test_within_z_edge_draws_draw_positions_only_for_kept_entries(monkeypatch, params, at_least):
+    real, depth, calls = models._distinct_positions, [0], [0]
+
+    def counting(rng, k, m):  # counts outermost calls; the complement recurses
+        calls[0] += depth[0] == 0
+        depth[0] += 1
+        try:
+            return real(rng, k, m)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(models, "_distinct_positions", counting)
+    draws = within_z_edge_draws(params, 7, 300, at_least)
+    kept = [e for _, e in draws if e is not None]
+    assert calls[0] == len(kept)
+    assert 0 < len(kept) < len(draws)
+    assert all(len(e) >= at_least for e in kept)
+
+
+def test_within_z_edge_draws_are_seeded_and_guard_int64():
+    pp = ProblemParams(2 ** 21, 2, 0.5, 0.1, 1e-5)  # past the rank-table budget
+    assert pp.n > TABLE_BUDGET_VERTICES
+    first, second, other = (within_z_edge_draws(pp, seed, 50) for seed in (3, 3, 4))
+    assert [k for k, _ in first] == [k for k, _ in second] != [k for k, _ in other]
+    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(first, second))
+    with pytest.raises(BudgetExceededError):  # |Z| ~ 9e6: C(|Z|, 3) ~ 1.2e20
+        within_z_edge_draws(ProblemParams(10 ** 7, 3, 0.5, 0.1, 0.9), 3, 2)
+    with pytest.raises(BudgetExceededError):
+        within_z_edge_draws(ProblemParams(2 ** 63, 2, 0.5, 0.1, 1e-9), 3, 2)
 
 
 def test_empty_draws_share_no_array():

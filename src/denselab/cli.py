@@ -142,9 +142,9 @@ def cmd_sample(args: argparse.Namespace) -> int:
         z_line = "Z: " + " ".join(str(v) for v in sorted(sample.Z))
         text = write_hypergraph_text(sample.Y, comments=[z_line])
     else:
-        aux, Y = sample_aux(params, args.seed)
-        signs = " ".join("1" if u > 0 else "-1" for u in aux.u)
-        text = write_hypergraph_text(Y, comments=[f"u-signs: {signs}"])
+        sample = sample_aux(params, args.seed)
+        signs = " ".join("1" if v in sample.Z else "-1" for v in range(1, params.n + 1))
+        text = write_hypergraph_text(sample.Y, comments=[f"u-signs: {signs}"])
     _emit(text, args.out)
     return EXIT_OK
 
@@ -245,7 +245,7 @@ def cmd_phase_diagram(args: argparse.Namespace) -> int:
                 if trials > 0:
                     report = estimate_separation(params, "edge", trials, args.seed)
                     sep = repr(report.separation)
-                    se = repr(report.mean_planted_se)
+                    se = repr(report.separation_se)
                 writer.writerow(
                     [alpha, gamma, n, regime, repr(ldlr.value_minus_one), sep, se]
                 )

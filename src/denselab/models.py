@@ -117,16 +117,6 @@ class PlantedSample:
     Y: Hypergraph
 
 
-@dataclass(frozen=True)
-class AuxPlantedParams:
-    """Memberships of one auxiliary draw (r = 2): u_i is a for a planted
-    vertex and b for any other."""
-
-    a: float
-    b: float
-    u: np.ndarray  # length-n vector of standardized memberships
-
-
 AUX_PAIR_BUDGET = 2 ** 25  # vertex pairs of one dense auxiliary draw
 
 
@@ -301,12 +291,14 @@ def validate_aux_feasible(params: ProblemParams, spike: float) -> None:
 
 def sample_aux(
     params: ProblemParams, seed: int, key: Sequence[int] = ()
-) -> Tuple[AuxPlantedParams, Hypergraph]:
-    """One draw of the auxiliary distribution (r = 2).
+) -> PlantedSample:
+    """One draw of the auxiliary distribution (r = 2): its planted set Z and
+    hypergraph Y.
 
-    Edge (i, j) is present with probability q + sigma*lambda*u_i*u_j, where u
-    is built from the same Ber(rho) memberships as the planted model and
-    lambda is exact_spike. The draw is dense, about 32 bytes per vertex
+    Edge (i, j) is present with probability q + sigma*lambda*u_i*u_j, where
+    lambda is exact_spike and u_i is sqrt((1 - rho)/rho) for i in Z and
+    -sqrt(rho/(1 - rho)) otherwise, Z having the planted model's Ber(rho)
+    memberships. The draw is dense, about 32 bytes per vertex
     pair, so more than AUX_PAIR_BUDGET pairs raise BudgetExceededError.
     """
     lam = exact_spike(params)
@@ -319,26 +311,18 @@ def sample_aux(
         )
     rng = child_rng(seed, *key)
     z = rng.random(n) < rho
-    a = math.sqrt((1.0 - rho) / rho)
-    b = -math.sqrt(rho / (1.0 - rho))
-    u = np.where(z, a, b)
+    u = np.where(z, math.sqrt((1.0 - rho) / rho), -math.sqrt(rho / (1.0 - rho)))
     i_idx, j_idx = np.triu_indices(n, k=1)
     probs = q + sigma * lam * u[i_idx] * u[j_idx]
     ranks = np.flatnonzero(rng.random(params.M) < probs)
-    aux = AuxPlantedParams(a=a, b=b, u=u)
-    return aux, Hypergraph.from_ranks(n, 2, ranks)
-
-
-@dataclass(frozen=True)
-class AuxBoundTerm:
-    degree: int
-    value: float
+    return PlantedSample(frozenset((np.flatnonzero(z) + 1).tolist()),
+                         Hypergraph.from_ranks(n, 2, ranks))
 
 
 @dataclass(frozen=True)
 class AuxBoundResult:
     value: float
-    terms: Tuple[AuxBoundTerm, ...]
+    terms: Tuple[float, ...]  # term d at index d
 
 
 def _inner_product_moments(rho: Fraction, n: int, K: int) -> List[Fraction]:
@@ -378,7 +362,7 @@ def aux_ldlr_upper_bound(params: ProblemParams, D: int) -> AuxBoundResult:
     exact = [lam_sq ** d / math.factorial(d) * moments[2 * d] for d in range(D + 1)]
     return AuxBoundResult(
         value=float(sum(exact)),
-        terms=tuple(AuxBoundTerm(d, float(t)) for d, t in enumerate(exact)),
+        terms=tuple(float(t) for t in exact),
     )
 
 

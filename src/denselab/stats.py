@@ -199,6 +199,17 @@ class SeparationReport:
     type2_error: float
     rows: Tuple[TrialRow, ...]
 
+    @property
+    def separation_se(self) -> float:
+        """Delta-method standard error of `separation` = |mean_planted -
+        mean_null| / sqrt(v), v the larger variance: the mean difference has SE
+        hypot(mean_null_se, mean_planted_se) and v its batch-means SE."""
+        v, v_se = max((self.var_null, self.var_null_se), (self.var_planted, self.var_planted_se))
+        if v == 0:
+            return 0.0
+        diff_se = math.hypot(self.mean_null_se, self.mean_planted_se)
+        return math.sqrt(diff_se ** 2 / v + (self.separation * v_se / (2 * v)) ** 2)
+
     def to_json_dict(self) -> dict:
         return {
             "meanNull": self.mean_null,
@@ -228,23 +239,16 @@ class SeparationReport:
         return buf.getvalue()
 
 
-def _run_trial(
-    params: ProblemParams, statistic: StatisticSpec, seed: int, model: str, trial: int
-) -> float:
-    # stream key (seed, model-id, trial) makes results schedule independent
-    key = (0 if model == "null" else 1, trial)
+def _trial_values(args) -> List[float]:
+    """Statistic values of the trials keyed (model-id, trial), 0 for null and
+    1 for planted. The key names each trial's stream, so no value depends on
+    how the trials are split among workers."""
+    params, statistic, seed, keys = args
     if statistic == "edge":  # the statistic reads only the draw's edge count
-        return _standardized_count(edge_count(params, seed, key, model == "planted"), params)
-    if model == "null":
-        Y = sample_null(params, seed, key=key)
-    else:
-        Y = sample_planted(params, seed, key=key).Y
-    return _statistic_value(Y, params, statistic)
-
-
-def _trial_batch(args) -> List[Tuple[str, int, float]]:
-    params, statistic, seed, jobs = args
-    return [(model, t, _run_trial(params, statistic, seed, model, t)) for model, t in jobs]
+        return [_standardized_count(edge_count(params, seed, k, k[0] == 1), params) for k in keys]
+    draws = (sample_planted(params, seed, key=k).Y if k[0] else sample_null(params, seed, key=k)
+             for k in keys)
+    return [_statistic_value(Y, params, statistic) for Y in draws]
 
 
 def _batch_variance_se(values: np.ndarray) -> Tuple[float, float]:
@@ -281,21 +285,23 @@ def estimate_separation(
     if trials < 2:
         raise InvalidArgumentError("trials >= 2 required")
     nworkers = resolve_workers()
-    jobs = [(model, t) for model in ("null", "planted") for t in range(trials)]
-    chunks = [jobs[i::nworkers] for i in range(nworkers)]
+    keys = [(model, t) for model in (0, 1) for t in range(trials)]
+    # interleaved chunks: a planted trial can cost O(n) where a null one is O(1)
+    chunks = [keys[i::nworkers] for i in range(nworkers)]
     packed = [(params, statistic, seed, chunk) for chunk in chunks if chunk]
     if nworkers == 1:
-        outs = list(map(_trial_batch, packed))
+        outs = list(map(_trial_values, packed))
     else:
         from concurrent.futures import ProcessPoolExecutor  # ~20 ms to import, so only here
 
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            outs = list(pool.map(_trial_batch, packed))
-    results = {(model, t): value for out in outs for model, t, value in out}
+            outs = list(pool.map(_trial_values, packed))
+    values = np.empty(len(keys))
+    for i, out in enumerate(outs):
+        values[i::nworkers] = out
 
     thr = _threshold(params, statistic)
-    null_vals = np.array([results[("null", t)] for t in range(trials)])
-    plant_vals = np.array([results[("planted", t)] for t in range(trials)])
+    null_vals, plant_vals = values[:trials], values[trials:]
     var_n, var_n_se = _batch_variance_se(null_vals)
     var_p, var_p_se = _batch_variance_se(plant_vals)
     mean_n, mean_p = float(null_vals.mean()), float(plant_vals.mean())
@@ -305,10 +311,9 @@ def estimate_separation(
     else:
         sep = 0.0 if mean_p == mean_n else math.inf
     rows = tuple(
-        TrialRow(t, model, results[(model, t)],
-                 "planted" if results[(model, t)] > thr else "null")
-        for model in ("null", "planted")
-        for t in range(trials)
+        TrialRow(t, model, value, "planted" if value > thr else "null")
+        for model, vals in (("null", null_vals), ("planted", plant_vals))
+        for t, value in enumerate(vals.tolist())
     )
     return SeparationReport(
         mean_null=mean_n,

@@ -285,11 +285,11 @@ def test_criterion_09_auxiliary_model():
     pp = derive_params(100, 2, 0.25, 0.5, 0.5)
     hits = tot = 0
     for t in range(100000):
-        aux, Y = sample_aux(pp, 123, key=(t,))
-        within = within_ranks((np.flatnonzero(aux.u > 0) + 1).tolist(), 100, 2)
+        sample = sample_aux(pp, 123, key=(t,))
+        within, ranks = within_ranks(sample.Z, 100, 2), sample.Y.ranks
         tot += within.size
         hits += int(np.count_nonzero(
-            np.searchsorted(Y.ranks, within, side="right") > np.searchsorted(Y.ranks, within)))
+            np.searchsorted(ranks, within, side="right") > np.searchsorted(ranks, within)))
     freq = hits / tot
     se = math.sqrt(pp.p * (1 - pp.p) / tot)
     freq_ok = abs(freq - pp.p) <= 4 * se

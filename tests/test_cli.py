@@ -472,7 +472,9 @@ def test_exponent_violation_has_one_message_everywhere(alpha, beta, gamma, capsy
 LDLR_EXP = ["--r", "2", "--alpha", "0.48", "--beta", "0.5", "--gamma", "0.6"]
 # sha256 prefixes of stdout, computed before the parser was reused across calls,
 # the exact LDLR sum moved to raw mpf tuples and the text format to numpy; the
-# planted sample's after its stream took both edge counts before any position
+# planted sample's after its stream took both edge counts before any position; the
+# last two before the auxiliary draw became a PlantedSample and the separation
+# workers returned bare values
 STDOUT_SHA256 = [
     (["ldlr", "--mode", "exact", "--degree", "10", "--n", "1000", *LDLR_EXP], "9a8eaeb1ab6e4637"),
     (["ldlr", "--mode", "exact", "--degree", "10", "--n", "1000", *LDLR_EXP, "--format", "csv"],
@@ -492,6 +494,10 @@ STDOUT_SHA256 = [
       "--degree", "10"], "f2c5dea416fb1453"),
     (["sample", "--model", "planted", "--seed", "321", "--n", "1000", "--r", "2",
       "--alpha", "0.3", "--beta", "0.5", "--gamma", "0.75"], "5fcd9600ad5b97c6"),
+    (["sample", "--model", "aux", "--seed", "4", "--n", "30", "--r", "2",
+      "--alpha", "0.25", "--beta", "0.5", "--gamma", "0.5"], "48f477aa5ec96fee"),
+    (["test", "--stat", "edge", "--trials", "12", "--seed", "5", "--n", "16", "--r", "2",
+      "--alpha", "0.25", "--beta", "0.5", "--gamma", "0.5"], "8bc170431fedb612"),
 ]
 
 

@@ -231,14 +231,14 @@ def test_hypergraph_ranks_text_and_pickle_roundtrip(r, data):
     assert restored == hg and not restored.ranks.flags.writeable
 
 
-def test_tensor_roundtrip():
+def test_from_ranks_roundtrip():
     hg = Hypergraph(5, 2, frozenset({(1, 2), (2, 5), (3, 4)}))
     assert hg.edge_count == 3
     assert hg.ranks.tolist() == [0, 6, 7]
     assert Hypergraph.from_ranks(5, 2, hg.ranks) == hg
 
 
-def test_tensor_shape_checked():
+def test_from_ranks_rejects_bad_ranks():
     for ranks in ([6], [-1], [3, 1], [1, 1], [[0, 1]]):
         with pytest.raises(InvalidArgumentError):
             Hypergraph.from_ranks(4, 2, np.array(ranks))

@@ -203,12 +203,24 @@ def test_estimate_separation_reproducible():
 
 
 def test_estimate_separation_worker_independence(monkeypatch):
-    pp = derive_params(16, 2, 0.25, 0.5, 0.6)
-    monkeypatch.setenv("DENSELAB_WORKERS", "1")
-    serial = estimate_separation(pp, "edge", 24, 5)
-    monkeypatch.setenv("DENSELAB_WORKERS", "3")
-    parallel = estimate_separation(pp, "edge", 24, 5)
-    assert serial == parallel
+    # the motif case sends the motif and host graphs through the pool, not only counts
+    cases = ((derive_params(16, 2, 0.25, 0.5, 0.6), "edge", 24),
+             (derive_params(16, 2, 0.25, 0.5, 0.5), triangle_motif(), 12))
+    for pp, statistic, trials in cases:
+        reports = []
+        for workers in ("1", "3"):
+            monkeypatch.setenv("DENSELAB_WORKERS", workers)
+            reports.append(estimate_separation(pp, statistic, trials, 5))
+        assert reports[0] == reports[1]
+        assert any(row.statistic != 0 for row in reports[0].rows)
+
+
+def test_separation_se_tracks_the_spread_of_separation():
+    pp = derive_params(200, 2, 0.3, 0.5, 0.75)
+    reports = [estimate_separation(pp, "edge", 40, seed) for seed in range(200)]
+    spread = np.std([rep.separation for rep in reports], ddof=1)
+    median_se = np.median([rep.separation_se for rep in reports])
+    assert spread / 2 <= median_se <= 2 * spread
 
 
 def test_serial_separation_leaves_the_process_pool_unimported():

@@ -117,9 +117,6 @@ class PlantedSample:
     Y: Hypergraph
 
 
-AUX_PAIR_BUDGET = 2 ** 25  # vertex pairs of one dense auxiliary draw
-
-
 def _sorted_distinct(values: np.ndarray) -> np.ndarray:
     """The distinct values of an array, ascending; sorts `values` in place.
     np.unique gives the same, but took 20-60x longer under numpy 2.4."""
@@ -195,10 +192,16 @@ def sample_planted(
     only a draw's planted part, up to relabelling, and draw it in batches
     from a stream of their own (see `within_z_edge_draws`).
     """
-    rng = child_rng(seed, *key)
+    z, ranks = _planted_ranks(child_rng(seed, *key), params)
+    return PlantedSample(frozenset((np.flatnonzero(z) + 1).tolist()),
+                         Hypergraph.from_ranks(params.n, params.r, ranks))
+
+
+def _planted_ranks(rng, params: ProblemParams) -> Tuple[np.ndarray, np.ndarray]:
+    """The memberships z and the ascending edge ranks of a planted draw from
+    `rng`, read in the order that `sample_planted` gives."""
     z, m_in, c_in, c_out = _planted_counts(rng, params)
-    zs = (np.flatnonzero(z) + 1).tolist()
-    within = within_ranks(zs, params.n, params.r)
+    within = within_ranks((np.flatnonzero(z) + 1).tolist(), params.n, params.r)
     inside = within[_distinct_positions(rng, c_in, m_in)]
     outside = _distinct_positions(rng, c_out, params.M - m_in)
     # outside position x is rank x plus the number of j with within[j] - j <= x,
@@ -206,7 +209,7 @@ def sample_planted(
     outside = outside + np.searchsorted(within - np.arange(within.size), outside, side="right")
     ranks = np.concatenate([outside, inside])
     ranks.sort(kind="stable")  # merges the two ascending runs
-    return PlantedSample(frozenset(zs), Hypergraph.from_ranks(params.n, params.r, ranks))
+    return z, ranks
 
 
 def edge_count(
@@ -295,28 +298,25 @@ def sample_aux(
     """One draw of the auxiliary distribution (r = 2): its planted set Z and
     hypergraph Y.
 
-    Edge (i, j) is present with probability q + sigma*lambda*u_i*u_j, where
-    lambda is exact_spike and u_i is sqrt((1 - rho)/rho) for i in Z and
-    -sqrt(rho/(1 - rho)) otherwise, Z having the planted model's Ber(rho)
-    memberships. The draw is dense, about 32 bytes per vertex
-    pair, so more than AUX_PAIR_BUDGET pairs raise BudgetExceededError.
+    Z has the planted model's Ber(rho) memberships; given Z, pairs are
+    independent at the rates (a, b, c) of `aux_edge_probabilities` under
+    exact_spike: within Z, mixed and outside Z. One child stream is read in
+    this order: a planted draw (see `sample_planted`) with p = a and
+    q = t = max(b, c), so Z is `sample_planted`'s Z; then one uniform per
+    drawn pair, in rank order, keeping a mixed pair below b / t and an
+    outside pair below c / t (always, when p >= q). A draw costs
+    O(n + Mt + C(|Z|, 2)), and n has `sample_planted`'s rank-table budget.
     """
     lam = exact_spike(params)
     validate_aux_feasible(params, lam)
-    n, rho, q, sigma = params.n, params.rho, params.q, params.sigma
-    if params.M > AUX_PAIR_BUDGET:
-        raise BudgetExceededError(
-            f"C({n}, 2) = {params.M} vertex pairs exceed the auxiliary draw's"
-            f" AUX_PAIR_BUDGET = {AUX_PAIR_BUDGET}"
-        )
+    a, b, c = aux_edge_probabilities(params, lam)
+    t = max(b, c)
     rng = child_rng(seed, *key)
-    z = rng.random(n) < rho
-    u = np.where(z, math.sqrt((1.0 - rho) / rho), -math.sqrt(rho / (1.0 - rho)))
-    i_idx, j_idx = np.triu_indices(n, k=1)
-    probs = q + sigma * lam * u[i_idx] * u[j_idx]
-    ranks = np.flatnonzero(rng.random(params.M) < probs)
+    z, ranks = _planted_ranks(rng, ProblemParams(params.n, 2, a, t, params.rho))
+    in_z = z[unrank_edges(ranks, params.n, 2) - 1].sum(axis=1)  # ends in Z: 0, 1 or 2
+    keep = rng.random(ranks.size) < np.array([c, b, t])[in_z] / t
     return PlantedSample(frozenset((np.flatnonzero(z) + 1).tolist()),
-                         Hypergraph.from_ranks(n, 2, ranks))
+                         Hypergraph.from_ranks(params.n, 2, ranks[keep]))
 
 
 @dataclass(frozen=True)

@@ -284,11 +284,10 @@ def estimate_separation(
     """
     if trials < 2:
         raise InvalidArgumentError("trials >= 2 required")
-    nworkers = resolve_workers()
+    nworkers = min(resolve_workers(), 2 * trials)
     keys = [(model, t) for model in (0, 1) for t in range(trials)]
     # interleaved chunks: a planted trial can cost O(n) where a null one is O(1)
-    chunks = [keys[i::nworkers] for i in range(nworkers)]
-    packed = [(params, statistic, seed, chunk) for chunk in chunks if chunk]
+    packed = [(params, statistic, seed, keys[i::nworkers]) for i in range(nworkers)]
     if nworkers == 1:
         outs = list(map(_trial_values, packed))
     else:

@@ -36,6 +36,15 @@ def test_sample_planted_has_z_header(tmp_path):
     assert any(line.startswith("# Z:") for line in text.splitlines())
 
 
+def test_aux_signs_are_one_exactly_on_the_planted_z(tmp_path):
+    _, aux = run_cli(["sample", "--model", "aux", "--seed", "3"] + BASE, tmp_path, "a")
+    _, planted = run_cli(["sample", "--model", "planted", "--seed", "3"] + BASE, tmp_path, "p")
+    signs = next(line for line in aux.splitlines() if line.startswith("# u-signs:")).split()[2:]
+    z = next(line for line in planted.splitlines() if line.startswith("# Z:")).split()[2:]
+    assert set(signs) == {"1", "-1"} and len(signs) == 16
+    assert [str(v) for v, sign in enumerate(signs, 1) if sign == "1"] == z
+
+
 def test_sample_aux_infeasible_exit_code(tmp_path, capsys):
     # dense planted part against a very sparse background drives the
     # mixed-pair probability below zero at small n
@@ -364,7 +373,7 @@ def test_degree_over_class_budget_exits_3_without_traceback(argv):
         ["phase-diagram", "--r", "2", "--degree", "500", "--alpha-grid", "0.7",
          "--gamma-grid", "0.6", "--n-grid", "32"],
     ],
-    ids=["aux-pairs", "sample-huge-r", "test-huge-r", "bruteforce-huge-degree",
+    ids=["aux-huge-n", "sample-huge-r", "test-huge-r", "bruteforce-huge-degree",
          "phase-diagram-degree-over-budget"],
 )
 def test_sample_over_budget_exits_3_at_once(argv):
@@ -473,8 +482,8 @@ LDLR_EXP = ["--r", "2", "--alpha", "0.48", "--beta", "0.5", "--gamma", "0.6"]
 # sha256 prefixes of stdout, computed before the parser was reused across calls,
 # the exact LDLR sum moved to raw mpf tuples and the text format to numpy; the
 # planted sample's after its stream took both edge counts before any position; the
-# last two before the auxiliary draw became a PlantedSample and the separation
-# workers returned bare values
+# edge test's before the separation workers returned bare values; the auxiliary
+# sample's after its draw became a planted draw thinned on the mixed pairs
 STDOUT_SHA256 = [
     (["ldlr", "--mode", "exact", "--degree", "10", "--n", "1000", *LDLR_EXP], "9a8eaeb1ab6e4637"),
     (["ldlr", "--mode", "exact", "--degree", "10", "--n", "1000", *LDLR_EXP, "--format", "csv"],
@@ -495,7 +504,7 @@ STDOUT_SHA256 = [
     (["sample", "--model", "planted", "--seed", "321", "--n", "1000", "--r", "2",
       "--alpha", "0.3", "--beta", "0.5", "--gamma", "0.75"], "5fcd9600ad5b97c6"),
     (["sample", "--model", "aux", "--seed", "4", "--n", "30", "--r", "2",
-      "--alpha", "0.25", "--beta", "0.5", "--gamma", "0.5"], "48f477aa5ec96fee"),
+      "--alpha", "0.25", "--beta", "0.5", "--gamma", "0.5"], "b043779638f8af93"),
     (["test", "--stat", "edge", "--trials", "12", "--seed", "5", "--n", "16", "--r", "2",
       "--alpha", "0.25", "--beta", "0.5", "--gamma", "0.5"], "8bc170431fedb612"),
 ]

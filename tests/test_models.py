@@ -510,7 +510,32 @@ def test_aux_bound_rejects_negative_degree_and_r_3():
         aux_ldlr_upper_bound(derive_params(20, 3, 0.25, 0.5, 0.5), 2)
 
 
-def test_aux_draw_past_pair_budget_raises_before_drawing():
+def test_aux_draw_shares_the_planted_z():
+    pp = derive_params(30, 2, 0.25, 0.5, 0.5)
+    for t in range(200):
+        assert sample_aux(pp, 3, key=(t,)).Z == sample_planted(pp, 3, key=(t,)).Z
+
+
+def test_aux_draw_past_two_to_the_25_pairs():
+    # C(8193, 2) > 2^25 pairs, too many to draw one uniform each
     pp = derive_params(8193, 2, 0.3, 0.5, 0.75)
-    with pytest.raises(BudgetExceededError, match="AUX_PAIR_BUDGET"):
-        sample_aux(pp, 1)
+    sample = sample_aux(pp, 1)
+    assert sample.Z == sample_planted(pp, 1).Z
+    assert sample.Y.n == pp.n and sample.Y.ranks.size > 0
+
+
+def test_aux_pair_rates_when_p_is_below_q():
+    # p < q makes the mixed rate exceed the unplanted one, so unplanted pairs are thinned too
+    pp = unordered_exponent_params(100, 2, 1.5, 0.6, 0.75)
+    i, j = np.triu_indices(pp.n, k=1)
+    present, total = np.zeros(3), np.zeros(3)
+    for t in range(2000):
+        sample = sample_aux(pp, 8, key=(t,))
+        z = np.isin(np.arange(pp.n), [v - 1 for v in sample.Z])
+        kind = 2 - z[i].astype(int) - z[j]  # 0 planted-planted, 1 mixed, 2 unplanted
+        total += np.bincount(kind, minlength=3)
+        present += np.bincount(kind[sample.Y.ranks], minlength=3)
+    probs = aux_edge_probabilities(pp, exact_spike(pp))
+    assert probs[1] > probs[2]
+    for hits, pairs, prob in zip(present, total, probs):
+        assert abs(hits / pairs - prob) <= 4 * math.sqrt(prob * (1 - prob) / pairs)

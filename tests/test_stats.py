@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 import math
 import os
@@ -213,6 +214,23 @@ def test_estimate_separation_worker_independence(monkeypatch):
             reports.append(estimate_separation(pp, statistic, trials, 5))
         assert reports[0] == reports[1]
         assert any(row.statistic != 0 for row in reports[0].rows)
+
+
+def test_separation_pool_is_capped_at_the_trial_keys(monkeypatch):
+    sizes = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    pp = derive_params(16, 2, 0.25, 0.5, 0.6)
+    monkeypatch.setenv("DENSELAB_WORKERS", "1")
+    serial = estimate_separation(pp, "edge", 2, 5)
+    monkeypatch.setenv("DENSELAB_WORKERS", "8")
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    assert estimate_separation(pp, "edge", 2, 5) == serial
+    assert sizes == [4]  # 2 trials of each model: 4 keys
 
 
 def test_separation_se_tracks_the_spread_of_separation():

@@ -35,9 +35,7 @@ from .models import derive_params, sample_aux, sample_null, sample_planted
 from .stats import classify_regime, estimate_separation, threshold_test
 
 EXIT_OK = 0
-EXIT_INVALID = 2
-EXIT_BUDGET = 3
-EXIT_REGIME = 4
+EXIT_CODES = {InvalidArgumentError: 2, BudgetExceededError: 3, RegimeError: 4, InfeasibleError: 4}
 
 
 def _read_text(path: str, flag: str) -> str:
@@ -300,15 +298,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         _apply_config(args)
         return args.func(args)
-    except InvalidArgumentError as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except (RegimeError, InfeasibleError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_REGIME
+        return EXIT_CODES[type(exc)]
 
 
 if __name__ == "__main__":

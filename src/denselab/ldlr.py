@@ -15,6 +15,7 @@ import io
 import itertools
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -35,12 +36,7 @@ from .hypergraph import (
     vertex_subset_densities,
     within_ranks,
 )
-from .models import (
-    ProblemParams,
-    RationalParams,
-    planted_outcomes,
-    within_z_edge_draws,
-)
+from .models import ProblemParams, RationalParams, within_z_edge_draws
 
 # Powers of rho^2 and w2 are truncated to mantissas of at least this many bits.
 MANT_BITS = 192
@@ -378,18 +374,11 @@ def estimate_event_probability(
 CONDITIONAL_TINY_BUDGET_N = {2: 4, 3: 4}
 
 
-def _enumerate_conditional_numerators(
+def _conditional_numerators(
     params: ProblemParams, spec: ConditioningSpec
 ) -> Tuple[Fraction, Dict[Tuple[Edge, ...], Fraction]]:
-    """P(E) and the map S -> E_P[phi_S 1_E] * sigma^{|S|}, all exact.
-
-    The numerator vanishes unless V(S) lies inside Z, so for each Z only the
-    configurations of the edges within Z need enumerating. p, q and rho are
-    binary floats, so with 2^k their largest denominator, every outcome
-    probability is an integer over 2^(k (n + C(n, r))) and every factor
-    b - q an integer over 2^k: the sums run on those integers, and each
-    becomes a Fraction once.
-    """
+    """P(E) and the map S0 -> E_P[phi_S0 1_E] * sigma^{|S0|} over the shapes
+    S0, all exact: the stratified sum of `conditional_ldlr_exact_tiny`."""
     n, r, D = params.n, params.r, spec.D
     if n > CONDITIONAL_TINY_BUDGET_N.get(r, -1):
         pairs = " and ".join(f"n <= {k} at r = {j}" for j, k in CONDITIONAL_TINY_BUDGET_N.items())
@@ -397,41 +386,54 @@ def _enumerate_conditional_numerators(
             f"conditional enumeration supports only {pairs}; got n = {n}, r = {r}"
         )
     rp = params.exact()
-    k = max(x.denominator.bit_length() - 1 for x in (rp.p, rp.q, rp.rho))
-    scale = k * (n + comb(n, r))
-    q_num = rp.q.numerator << (k - rp.q.denominator.bit_length() + 1)
-    p_event = 0
-    num: Dict[Tuple[Edge, ...], int] = {}
-    outcomes = planted_outcomes(rp, lambda Z: list(itertools.combinations(sorted(Z), r)))
-    for _, c_edges, bits, weight in outcomes:
-        if _dense_subset_exists([e for e, b in zip(c_edges, bits) if b], spec):
-            continue
-        w = weight.numerator << (scale - weight.denominator.bit_length() + 1)
-        p_event += w
-        signed = {e: (b << k) - q_num for e, b in zip(c_edges, bits)}
-        for m in range(1, D + 1):
-            for S in itertools.combinations(c_edges, m):
-                num[S] = num.get(S, 0) + math.prod(map(signed.get, S), start=w)
-    coeff = {S: Fraction(c, 1 << (scale + k * len(S))) for S, c in num.items()}
-    return Fraction(p_event, 1 << scale), coeff
+    p_event, num = Fraction(0), {}
+    for k in range(n + 1):
+        edges = list(all_edges(k, r))
+        held = [(g, g.bit_count()) for g in range(1 << len(edges)) if not _dense_subset_exists(
+            [e for i, e in enumerate(edges) if g >> i & 1], spec)]
+        pz = rp.rho ** k * (1 - rp.rho) ** (n - k)
+        prob = [pz * rp.p ** s * (1 - rp.p) ** (len(edges) - s) for s in range(len(edges) + 1)]
+        p_event += comb(n, k) * sum(prob[s] for _, s in held)
+        for m in range(1, min(D, len(edges)) + 1):
+            signed = [(1 - rp.q) ** j * (-rp.q) ** (m - j) for j in range(m + 1)]
+            weight = [[ps * sg for sg in signed] for ps in prob]
+            parts = {}  # shapes with equal bins, isomorphic ones among them, share one sum
+            for S0 in itertools.combinations(range(len(edges)), m):
+                shape = tuple(edges[i] for i in S0)
+                ell = len(induced_vertices(shape))
+                if max(e[-1] for e in shape) == ell:  # V(shape) = 1..ell
+                    mask = sum(1 << i for i in S0)
+                    bins = frozenset(Counter((s, (g & mask).bit_count()) for g, s in held).items())
+                    if bins not in parts:
+                        parts[bins] = sum(c * weight[s][j] for (s, j), c in bins)
+                    num[shape] = num.get(shape, 0) + comb(n - ell, k - ell) * parts[bins]
+    return p_event, num
 
 
 def conditional_ldlr_exact_tiny(
     params: ProblemParams, spec: ConditioningSpec
 ) -> LdlrResult:
-    """Exact ||L'_{<=D}||^2 by full enumeration, tiny instances only.
+    """Exact ||L'_{<=D}||^2, tiny instances only.
 
-    E_{P'}[phi_S] = E_P[phi_S 1_E] / P(E). All arithmetic is rational (sigma
-    powers kept symbolic), so the I = empty case reproduces the unconditional
-    brute-force value exactly.
+    E_{P'}[phi_S] = E_P[phi_S 1_E] / P(E), and P(E) > 0, since E holds when
+    H[Z] has no edges. E_P[phi_S 1_E] = 0 unless V(S) lies inside Z: an edge
+    of S leaving Z has a mean-zero factor independent of E, which reads only
+    H[Z]. Given |Z| = k, H[Z] is G^r(k, p) up to relabelling, and E does not
+    change under relabelling. So the sums run over the n + 1 strata k, each
+    over the graphs g on 1..k where E holds, as bit masks over its edges,
+    binned by (|g|, |g & S0|) for each shape S0: an edge set of size 1..D
+    whose vertex set is exactly 1..ell. A shape stands for the C(n, ell)
+    labelled S of its form, and it takes C(n - ell, k - ell) copies of stratum
+    k, whose probability is C(n, k) rho^k (1 - rho)^(n - k). All arithmetic is
+    rational (sigma powers kept symbolic), so the I = empty case reproduces
+    the unconditional brute-force value exactly.
     """
-    rp = params.exact()
-    p_event, coeff = _enumerate_conditional_numerators(params, spec)
-    if p_event == 0:
-        raise InvalidArgumentError("conditioning event has probability zero")
+    n, rp = params.n, params.exact()
+    p_event, num = _conditional_numerators(params, spec)
     total_sq, terms = _exact_class_sums(
-        ((len(induced_vertices(S)), len(S)), 1, c ** 2 / (p_event ** 2 * rp.sigma_sq ** len(S)))
-        for S, c in coeff.items()
+        ((ell, len(S0)), comb(n, ell), comb(n, ell) * (c / p_event) ** 2 / rp.sigma_sq ** len(S0))
+        for S0, c in num.items()
+        for ell in [len(induced_vertices(S0))]
     )
     total = 1 + total_sq  # the empty S contributes 1
     return LdlrResult(

@@ -9,17 +9,16 @@ floating subtraction chains.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Callable, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import BudgetExceededError, InfeasibleError, InvalidArgumentError
-from .hypergraph import Edge, Hypergraph, check_rank_space, unrank_edges, within_ranks
+from .hypergraph import Hypergraph, check_rank_space, unrank_edges, within_ranks
 from .rng import child_rng
 
 
@@ -364,23 +363,3 @@ def aux_ldlr_upper_bound(params: ProblemParams, D: int) -> AuxBoundResult:
         value=float(sum(exact)),
         terms=tuple(float(t) for t in exact),
     )
-
-
-def planted_outcomes(
-    rp: RationalParams, edges_for: Callable[[FrozenSet[int]], Sequence[Edge]]
-) -> Iterator[Tuple[FrozenSet[int], Sequence[Edge], Tuple[int, ...], Fraction]]:
-    """(Z, edges, bits, probability) over every planted set Z and every 0/1
-    outcome `bits` of the edges `edges_for(Z)`, with its exact probability
-    under the planted law: Z has Ber(rho) memberships, edges inside Z are
-    Ber(p) and all others Ber(q). Z runs over the masks 0 .. 2^n - 1, vertex
-    i + 1 being bit i; bits run in itertools.product order.
-    """
-    n = rp.n
-    for z_mask in range(2 ** n):
-        Z = frozenset(i + 1 for i in range(n) if z_mask >> i & 1)
-        prob_z = rp.rho ** len(Z) * (1 - rp.rho) ** (n - len(Z))
-        edges = edges_for(Z)
-        edge_probs = [rp.p if Z.issuperset(e) else rp.q for e in edges]
-        for bits in itertools.product((0, 1), repeat=len(edges)):
-            factors = (pe if b else 1 - pe for b, pe in zip(bits, edge_probs))
-            yield Z, edges, bits, math.prod(factors, start=prob_z)

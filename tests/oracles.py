@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -21,8 +21,8 @@ from denselab.hypergraph import (
     count_embeddings,
     induced_vertices,
 )
-from denselab.ldlr import ConditioningSpec, _enumerate_conditional_numerators
-from denselab.models import ProblemParams, RationalParams, exact_spike, planted_outcomes
+from denselab.ldlr import ConditioningSpec, _dense_subset_exists
+from denselab.models import ProblemParams, RationalParams, exact_spike
 from denselab.rng import child_rng
 
 
@@ -139,6 +139,26 @@ class ExactDistribution:
         )
 
 
+def planted_outcomes(
+    rp: RationalParams, edges_for: Callable[[FrozenSet[int]], Sequence[Edge]]
+) -> Iterator[Tuple[FrozenSet[int], Sequence[Edge], Tuple[int, ...], Fraction]]:
+    """(Z, edges, bits, probability) over every planted set Z and every 0/1
+    outcome `bits` of the edges `edges_for(Z)`, with its exact probability
+    under the planted law: Z has Ber(rho) memberships, edges inside Z are
+    Ber(p) and all others Ber(q). Z runs over the masks 0 .. 2^n - 1, vertex
+    i + 1 being bit i; bits run in itertools.product order.
+    """
+    n = rp.n
+    for z_mask in range(2 ** n):
+        Z = frozenset(i + 1 for i in range(n) if z_mask >> i & 1)
+        prob_z = rp.rho ** len(Z) * (1 - rp.rho) ** (n - len(Z))
+        edges = edges_for(Z)
+        edge_probs = [rp.p if Z.issuperset(e) else rp.q for e in edges]
+        for bits in itertools.product((0, 1), repeat=len(edges)):
+            factors = (pe if b else 1 - pe for b, pe in zip(bits, edge_probs))
+            yield Z, edges, bits, math.prod(factors, start=prob_z)
+
+
 ENUMERATION_BUDGET_BITS = 26
 
 
@@ -157,12 +177,35 @@ def enumerate_planted_exact(rp: RationalParams) -> ExactDistribution:
     return ExactDistribution(n, r, outcomes)
 
 
+def fraction_conditional_numerators(
+    params: ProblemParams, spec: ConditioningSpec
+) -> Tuple[Fraction, Dict[Tuple[Edge, ...], Fraction]]:
+    """P(E) and the map S -> E_P[phi_S 1_E] * sigma^{|S|} over every labelled
+    S with 1 <= |S| <= D, by walking every planted set Z and every outcome of
+    the edges inside it, in Fractions: the reference for the stratified sum of
+    `ldlr.conditional_ldlr_exact_tiny`."""
+    r, D = params.r, spec.D
+    rp = params.exact()
+    p_event = Fraction(0)
+    coeff: Dict[Tuple[Edge, ...], Fraction] = {}
+    outcomes = planted_outcomes(rp, lambda Z: list(itertools.combinations(sorted(Z), r)))
+    for _, c_edges, bits, weight in outcomes:
+        if _dense_subset_exists([e for e, b in zip(c_edges, bits) if b], spec):
+            continue
+        p_event += weight
+        signed = {e: (Fraction(b) - rp.q) for e, b in zip(c_edges, bits)}
+        for m in range(1, D + 1):
+            for S in itertools.combinations(c_edges, m):
+                coeff[S] = coeff.get(S, Fraction(0)) + math.prod(map(signed.get, S), start=weight)
+    return p_event, coeff
+
+
 def conditional_numerators_exact_tiny(
     params: ProblemParams, spec: ConditioningSpec
 ) -> Dict[Tuple[Edge, ...], float]:
     """E_P[phi_S 1_E] per subset S, for bound checks at tiny scale: its exact
     rational square, rounded once to a float, then the signed square root."""
-    _, coeff = _enumerate_conditional_numerators(params, spec)
+    _, coeff = fraction_conditional_numerators(params, spec)
     sigma_sq = params.exact().sigma_sq
     return {S: math.copysign(math.sqrt(c * c / sigma_sq ** len(S)), c) for S, c in coeff.items()}
 

@@ -258,6 +258,8 @@ def test_motif_input_shape_mismatch_exit_code(tmp_path, capsys):
 GRID = ["phase-diagram", "--r", "2", "--beta", "0.5", "--degree", "2"]
 COND = ["ldlr", "--mode", "conditional", "--degree", "3", "--n", "4", "--r", "2",
         "--alpha", "0.45", "--beta", "0.6", "--gamma", "0.3"]
+COND_R3 = ["ldlr", "--mode", "conditional", "--degree", "3", "--n", "4", "--r", "3",
+           "--alpha", "0.45", "--beta", "1.2", "--gamma", "0.3"]
 
 
 @pytest.mark.parametrize(
@@ -483,7 +485,8 @@ LDLR_EXP = ["--r", "2", "--alpha", "0.48", "--beta", "0.5", "--gamma", "0.6"]
 # the exact LDLR sum moved to raw mpf tuples and the text format to numpy; the
 # planted sample's after its stream took both edge counts before any position; the
 # edge test's before the separation workers returned bare values; the auxiliary
-# sample's after its draw became a planted draw thinned on the mixed pairs
+# sample's after its draw became a planted draw thinned on the mixed pairs; the
+# conditional norm's before its sum ran over |Z| strata instead of planted sets
 STDOUT_SHA256 = [
     (["ldlr", "--mode", "exact", "--degree", "10", "--n", "1000", *LDLR_EXP], "9a8eaeb1ab6e4637"),
     (["ldlr", "--mode", "exact", "--degree", "10", "--n", "1000", *LDLR_EXP, "--format", "csv"],
@@ -507,6 +510,10 @@ STDOUT_SHA256 = [
       "--alpha", "0.25", "--beta", "0.5", "--gamma", "0.5"], "b043779638f8af93"),
     (["test", "--stat", "edge", "--trials", "12", "--seed", "5", "--n", "16", "--r", "2",
       "--alpha", "0.25", "--beta", "0.5", "--gamma", "0.5"], "8bc170431fedb612"),
+    ([*COND, "--delta", "0.1"], "e73fdf00c3f4e9f3"),
+    ([*COND, "--delta", "0.1", "--format", "csv"], "c76812f1695ac2cd"),
+    ([*COND_R3, "--delta", "0.1"], "2a58675724e28563"),
+    ([*COND_R3, "--delta", "0.1", "--format", "csv"], "820196f7e680536e"),
 ]
 
 

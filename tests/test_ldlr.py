@@ -21,8 +21,7 @@ from denselab.ldlr import (
     CONDITIONAL_TINY_BUDGET_N,
     LdlrClassTerm,
     LdlrResult,
-    _dense_subset_exists,
-    _enumerate_conditional_numerators,
+    _conditional_numerators,
     build_conditioning_spec,
     conditional_ldlr_exact_tiny,
     conditional_term_bound,
@@ -32,13 +31,13 @@ from denselab.ldlr import (
     ldlr_norm_exact,
     phi_expectation_planted_scaled,
 )
-from denselab.models import (
-    ProblemParams,
-    derive_params,
-    planted_outcomes,
-    within_z_edge_draws,
+from denselab.models import ProblemParams, derive_params, within_z_edge_draws
+from oracles import (
+    complete,
+    conditional_numerators_exact_tiny,
+    enumerate_planted_exact,
+    fraction_conditional_numerators,
 )
-from oracles import complete, conditional_numerators_exact_tiny, enumerate_planted_exact
 from test_acceptance import PARAM_GRID  # criterion 01's tiny grid
 
 
@@ -357,41 +356,45 @@ def test_conditional_good_bad_term_bounds():
         assert abs(val) <= bound * (1 + 1e-12)
 
 
-def _fraction_conditional_numerators(params, spec):
-    """The conditional enumerator in Fraction arithmetic: the reference for
-    the integer sums of _enumerate_conditional_numerators."""
-    r, D = params.r, spec.D
-    rp = params.exact()
-    p_event = Fraction(0)
-    coeff = {}
-    outcomes = planted_outcomes(rp, lambda Z: list(itertools.combinations(sorted(Z), r)))
-    for _, c_edges, bits, weight in outcomes:
-        if _dense_subset_exists([e for e, b in zip(c_edges, bits) if b], spec):
-            continue
-        p_event += weight
-        signed = {e: (Fraction(b) - rp.q) for e, b in zip(c_edges, bits)}
-        for m in range(1, D + 1):
-            for S in itertools.combinations(c_edges, m):
-                coeff[S] = coeff.get(S, Fraction(0)) + math.prod(map(signed.get, S), start=weight)
-    return p_event, coeff
-
-
-def test_conditional_numerators_match_fraction_enumerator():
+def _conditional_instances():
     """Every instance the budget allows, on two exponent sets and three deltas."""
-    seen_empty_index = seen_event_fails = False
     for r, n_max in CONDITIONAL_TINY_BUDGET_N.items():
         exps = [(0.45, 0.6, 0.3), (0.2, 0.9, 0.7)] if r == 2 else [(0.45, 1.2, 0.3), (0.3, 1.8, 0.6)]
         for n in range(r, n_max + 1):
             for a, b, g in exps:
                 pp = derive_params(n, r, a, b, g)
                 for delta, D in ((0.1, 3), (0.05, 2), (5.0, 3)):
-                    spec = build_conditioning_spec(pp, delta, D)
-                    p_event, coeff = _enumerate_conditional_numerators(pp, spec)
-                    want_p, want_coeff = _fraction_conditional_numerators(pp, spec)
-                    assert (p_event, coeff) == (want_p, want_coeff), (n, r, a, b, g, delta, D)
-                    seen_empty_index |= not spec.index_set
-                    seen_event_fails |= p_event < 1
+                    yield pp, build_conditioning_spec(pp, delta, D)
+
+
+def test_conditional_numerators_match_fraction_enumerator():
+    """P(E) equals the reference's, and each labelled S's numerator equals the
+    value of its shape: V(S) relabelled onto 1..ell in increasing order. Every
+    shape is reached."""
+    seen_empty_index = seen_event_fails = False
+    for pp, spec in _conditional_instances():
+        p_event, num = _conditional_numerators(pp, spec)
+        want_p, want = fraction_conditional_numerators(pp, spec)
+        key = (pp.n, pp.r, pp.alpha, pp.beta, pp.gamma, spec.m_table, spec.D)
+        assert p_event == want_p, key
+        reached = set()
+        for S, c in want.items():
+            label = {v: i for i, v in enumerate(sorted(induced_vertices(S)), 1)}
+            shape = tuple(tuple(label[v] for v in e) for e in S)
+            assert num[shape] == c, (key, S)
+            reached.add(shape)
+        assert reached == set(num), key
+        seen_empty_index |= not spec.index_set
+        seen_event_fails |= p_event < 1
     assert seen_empty_index and seen_event_fails
+
+
+def test_conditional_class_counts():
+    """E holds on the empty graph, so every labelled S with |S| <= D is counted,
+    each once: a shape counted twice or missed changes its class count."""
+    for pp, spec in _conditional_instances():
+        for t in conditional_ldlr_exact_tiny(pp, spec).per_class:
+            assert t.class_count == count_subgraph_class(pp.n, t.ell, t.m, pp.r), (pp, t)
 
 
 def test_conditional_budget():
